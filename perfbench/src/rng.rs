@@ -1,0 +1,29 @@
+//! A small seeded generator (SplitMix64) for request mixes and samples:
+//! the same seed gives the same stream on every host.
+
+#[derive(Debug, Clone)]
+pub struct Rng(u64);
+
+impl Rng {
+    pub fn new(seed: u64) -> Self {
+        Rng(seed)
+    }
+
+    /// An independent stream for a sub-task (a client, a dataset).
+    pub fn fork(&mut self, salt: u64) -> Rng {
+        Rng(self.next_u64() ^ salt.wrapping_mul(0xA24B_AED4_963E_E407))
+    }
+
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n` (`n > 0`).
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+}
