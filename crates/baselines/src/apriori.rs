@@ -125,14 +125,14 @@ pub fn generate_candidates(l_prev: &CountRelation) -> Vec<Vec<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use setm_core::{example, setm::memory, MinSupport};
+    use setm_core::{example, setm::{memory, ExecCtx}, MinSupport};
 
     #[test]
     fn matches_setm_on_worked_example() {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
         let ours = mine(&d, &params);
-        let reference = memory::mine(&d, &params);
+        let reference = memory::run(&d, &ExecCtx::new(params));
         assert_eq!(ours.frequent_itemsets(), reference.frequent_itemsets());
     }
 

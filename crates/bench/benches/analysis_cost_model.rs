@@ -10,6 +10,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 use setm_core::nested_loop::{mine_nested_loop, NestedLoopOptions};
 use setm_core::setm::engine::{self, EngineConfig};
+use setm_core::setm::ExecCtx;
 use setm_core::{MinSupport, MiningParams};
 use setm_costmodel::ComparisonReport;
 use setm_datagen::UniformConfig;
@@ -32,8 +33,9 @@ fn bench_analysis(c: &mut Criterion) {
     // Measured runs at 1/200 scale (1,000 transactions, same density).
     let dataset = UniformConfig::paper_scaled(200).generate();
     let params = MiningParams::new(MinSupport::Fraction(0.005), 0.5).with_max_len(2);
+    let seq = ExecCtx { threads: 1, ..ExecCtx::new(params) };
 
-    let sm = engine::mine_with(&dataset, &params, EngineConfig::default(), 1).expect("engine run");
+    let sm = engine::run(&dataset, &seq, EngineConfig::default()).expect("engine run");
     let nl =
         mine_nested_loop(&dataset, &params, NestedLoopOptions::default()).expect("nl run");
     eprintln!(
@@ -46,7 +48,7 @@ fn bench_analysis(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     group.sample_size(10);
     group.bench_function("setm_engine", |b| {
-        b.iter(|| engine::mine_with(&dataset, &params, EngineConfig::default(), 1).expect("run"))
+        b.iter(|| engine::run(&dataset, &seq, EngineConfig::default()).expect("run"))
     });
     group.bench_function("nested_loop_engine", |b| {
         b.iter(|| mine_nested_loop(&dataset, &params, NestedLoopOptions::default()).expect("run"))

@@ -5,7 +5,7 @@
 use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use setm_baselines::{ais, apriori, apriori_tid};
-use setm_core::{setm::memory, Dataset, MinSupport, MiningParams};
+use setm_core::{setm::{memory, ExecCtx}, Dataset, MinSupport, MiningParams};
 use setm_datagen::QuestConfig;
 
 fn bench_miners(c: &mut Criterion, name: &str, dataset: &Dataset) {
@@ -17,7 +17,7 @@ fn bench_miners(c: &mut Criterion, name: &str, dataset: &Dataset) {
         let params = MiningParams::new(MinSupport::Fraction(frac), 0.5);
         let label = format!("{:.1}%", frac * 100.0);
         group.bench_with_input(BenchmarkId::new("setm", &label), &params, |b, p| {
-            b.iter(|| memory::mine(dataset, p))
+            b.iter(|| memory::run(dataset, &ExecCtx::new(*p)))
         });
         group.bench_with_input(BenchmarkId::new("ais", &label), &params, |b, p| {
             b.iter(|| ais::mine(dataset, p))

@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use setm_core::{setm::memory, MinSupport, MiningParams};
+use setm_core::{setm::{memory, ExecCtx}, MinSupport, MiningParams};
 use setm_datagen::RetailConfig;
 
 const SUPPORTS: [f64; 5] = [0.001, 0.005, 0.01, 0.02, 0.05];
@@ -18,7 +18,8 @@ fn bench_fig5(c: &mut Criterion) {
     // Print the series the figure plots.
     eprintln!("\nFigure 5 series (R_i in KB per iteration):");
     for &frac in &SUPPORTS {
-        let r = memory::mine(&dataset, &MiningParams::new(MinSupport::Fraction(frac), 0.5));
+        let params = MiningParams::new(MinSupport::Fraction(frac), 0.5);
+        let r = memory::run(&dataset, &ExecCtx::new(params));
         let row: Vec<String> = r.trace.iter().map(|t| format!("{:.1}", t.r_kbytes)).collect();
         eprintln!("  minsup {:>5.2}%: [{}]", frac * 100.0, row.join(", "));
     }
@@ -32,7 +33,7 @@ fn bench_fig5(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("setm_retail", format!("{:.2}%", frac * 100.0)),
             &params,
-            |b, params| b.iter(|| memory::mine(&dataset, params)),
+            |b, params| b.iter(|| memory::run(&dataset, &ExecCtx::new(*params))),
         );
     }
     group.finish();

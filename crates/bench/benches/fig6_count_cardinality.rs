@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use setm_core::{setm::memory, MinSupport, MiningParams};
+use setm_core::{setm::{memory, ExecCtx}, MinSupport, MiningParams};
 use setm_datagen::RetailConfig;
 
 const SUPPORTS: [f64; 5] = [0.001, 0.005, 0.01, 0.02, 0.05];
@@ -17,7 +17,8 @@ fn bench_fig6(c: &mut Criterion) {
 
     eprintln!("\nFigure 6 series (|C_i| per iteration):");
     for &frac in &SUPPORTS {
-        let r = memory::mine(&dataset, &MiningParams::new(MinSupport::Fraction(frac), 0.5));
+        let params = MiningParams::new(MinSupport::Fraction(frac), 0.5);
+        let r = memory::run(&dataset, &ExecCtx::new(params));
         let row: Vec<String> = r.trace.iter().map(|t| t.c_len.to_string()).collect();
         eprintln!("  minsup {:>5.2}%: [{}]", frac * 100.0, row.join(", "));
     }
@@ -32,7 +33,7 @@ fn bench_fig6(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("levels_at_0.1pct", max_len),
             &params,
-            |b, params| b.iter(|| memory::mine(&dataset, params)),
+            |b, params| b.iter(|| memory::run(&dataset, &ExecCtx::new(*params))),
         );
     }
     group.finish();

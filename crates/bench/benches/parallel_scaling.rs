@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use setm_core::setm::engine::{self, EngineConfig};
-use setm_core::setm::{memory, sql, SetmOptions};
+use setm_core::setm::{memory, sql, ExecCtx};
 use setm_core::{Dataset, MinSupport, MiningParams};
 use setm_datagen::{QuestConfig, RetailConfig};
 use std::time::{Duration, Instant};
@@ -51,10 +51,11 @@ fn workloads() -> Vec<(&'static str, Dataset, MiningParams)> {
 /// even when criterion budgets are tight.
 fn print_speedup_table(name: &str, dataset: &Dataset, params: &MiningParams) {
     let time_mem = |threads: usize| {
+        let ctx = ExecCtx { threads, ..ExecCtx::new(*params) };
         let mut best = Duration::MAX;
         for _ in 0..3 {
             let t0 = Instant::now();
-            let r = memory::mine_with(dataset, params, SetmOptions { threads, ..Default::default() });
+            let r = memory::run(dataset, &ctx);
             best = best.min(t0.elapsed());
             assert!(r.max_pattern_len() > 0);
         }
@@ -84,13 +85,8 @@ fn bench_parallel_scaling(c: &mut Criterion) {
                 BenchmarkId::from_parameter(threads),
                 &threads,
                 |b, &threads| {
-                    b.iter(|| {
-                        memory::mine_with(
-                            &dataset,
-                            &params,
-                            SetmOptions { threads, ..Default::default() },
-                        )
-                    })
+                    let ctx = ExecCtx { threads, ..ExecCtx::new(params) };
+                    b.iter(|| memory::run(&dataset, &ctx))
                 },
             );
         }
@@ -108,8 +104,9 @@ fn bench_parallel_scaling(c: &mut Criterion) {
                 BenchmarkId::from_parameter(threads),
                 &threads,
                 |b, &threads| {
+                    let ctx = ExecCtx { threads, ..ExecCtx::new(params) };
                     b.iter(|| {
-                        engine::mine_with(&engine_dataset, &params, EngineConfig::default(), threads)
+                        engine::run(&engine_dataset, &ctx, EngineConfig::default())
                             .expect("engine run")
                     })
                 },
@@ -132,7 +129,8 @@ fn bench_parallel_scaling(c: &mut Criterion) {
                 BenchmarkId::from_parameter(threads),
                 &threads,
                 |b, &threads| {
-                    b.iter(|| sql::mine_with(&sql_dataset, &params, threads).expect("sql run"))
+                    let ctx = ExecCtx { threads, ..ExecCtx::new(params) };
+                    b.iter(|| sql::run(&sql_dataset, &ctx).expect("sql run"))
                 },
             );
         }

@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use setm_core::{setm::memory, MinSupport, MiningParams};
+use setm_core::{setm::{memory, ExecCtx}, MinSupport, MiningParams};
 use setm_datagen::RetailConfig;
 
 const SUPPORTS: [f64; 5] = [0.001, 0.005, 0.01, 0.02, 0.05];
@@ -26,7 +26,7 @@ fn bench_table1(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("setm", format!("{:.2}%", frac * 100.0)),
             &params,
-            |b, params| b.iter(|| memory::mine(&dataset, params)),
+            |b, params| b.iter(|| memory::run(&dataset, &ExecCtx::new(*params))),
         );
     }
     group.finish();

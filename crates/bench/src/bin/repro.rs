@@ -40,14 +40,10 @@
 //!              compare the `deterministic` counters of a candidate
 //!              baseline (default ci_baseline.json) against a reference
 //!              (default BENCH_baseline.json); exit 1 on any drift.
-//!              Wall-clock fields are reported but never gated. Schema
-//!              bridge: v4 pool fields are reported, not gated, against
-//!              a v3-or-older reference (as v3 plan fields are against
-//!              v2); v5 adds only wall-clock sections, v6 only the
-//!              wall-clock queue-wait percentiles, and v7 only the
-//!              constrained_t20_i6 pushdown section, so their
-//!              deterministic subtrees gate identically against a v4
-//!              reference.
+//!              Wall-clock fields are reported but never gated. Both
+//!              files must carry the current schema
+//!              (setm-bench-baseline/v7); any other schema exits 2 and
+//!              names the expected one — regenerate, do not bridge.
 //!   all        every report target above, in order (baseline excluded)
 //! ```
 //!
@@ -62,7 +58,10 @@
 //! `trans_id` partitions.
 //!
 //! `SETM_THREADS=<n>` pins the thread count used by the timing sweeps
-//! (`0`/unset = the machine's available parallelism). `SETM_BENCH_TINY=1`
+//! (`0`/unset = the machine's available parallelism); only their wall
+//! clock depends on it. `example` runs the paper's sequential plan
+//! (`threads(1)`), and the `baseline` deterministic section pins every
+//! thread count it records. `SETM_BENCH_TINY=1`
 //! shrinks the `baseline` workloads to a seconds-scale CI configuration
 //! (the `deterministic` section is fixed-size and identical either way).
 
@@ -213,8 +212,11 @@ fn repro_example() {
     banner("Worked example (Section 4.2, Figures 1-3, Section 5)");
     let d = example::paper_example_dataset();
     let params = example::paper_example_params();
+    // One thread: the paper's sequential plan, so the statement count
+    // and page accesses printed below are the same on every host.
     let outcome = Miner::new(params)
         .backend(backend())
+        .threads(1)
         .run(&d)
         .unwrap_or_else(|e| {
             eprintln!("mining failed: {e}");
@@ -1155,7 +1157,7 @@ fn repro_baseline(path: Option<String>) {
     let reps = if tiny { 1 } else { 3 };
 
     let mut j = Json::new();
-    j.field(1, "schema", "\"setm-bench-baseline/v7\"", false);
+    j.field(1, "schema", &format!("{BASELINE_SCHEMA:?}"), false);
     j.field(1, "config", if tiny { "\"tiny\"" } else { "\"full\"" }, false);
     j.field(1, "machine", "{", true);
     j.field(2, "available_parallelism", &hw.to_string(), false);
@@ -1482,13 +1484,20 @@ fn repro_check_baseline(candidate: Option<String>, reference: Option<String>) {
     banner("Bench-trajectory guard — deterministic counters vs baseline");
     let cand_path = candidate.unwrap_or_else(|| "ci_baseline.json".to_string());
     let ref_path = reference.unwrap_or_else(|| "BENCH_baseline.json".to_string());
+    // A file that cannot be read, parsed, or has another schema is a
+    // usage error (exit 2), not drift: regenerate it with this binary.
     let load = |path: &str| -> JsonValue {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("could not read {path}: {e}");
-            std::process::exit(2);
-        });
-        parse(&text).unwrap_or_else(|e| {
-            eprintln!("could not parse {path}: {e}");
+        let loaded = std::fs::read_to_string(path)
+            .map_err(|e| BaselineError::Read(e.to_string()))
+            .and_then(|text| parse(&text).map_err(|e| BaselineError::Parse(e.to_string())))
+            .and_then(|json| {
+                match json.get("schema").and_then(JsonValue::as_str) {
+                    Some(BASELINE_SCHEMA) => Ok(json),
+                    found => Err(BaselineError::Schema(found.unwrap_or("none").to_string())),
+                }
+            });
+        loaded.unwrap_or_else(|e| {
+            eprintln!("{path}: {e}");
             std::process::exit(2);
         })
     };
@@ -1525,50 +1534,8 @@ fn repro_check_baseline(candidate: Option<String>, reference: Option<String>) {
         );
         std::process::exit(1);
     };
-    // Schema bridge: an older reference predates some counters — a v2
-    // file has no plan fields, a v3 file no pool fields. Comparing a
-    // newer candidate against it must not flag those fields as drift;
-    // everything the reference *does* know about is still gated.
-    let schema_of = |v: &JsonValue| {
-        v.get("schema").and_then(JsonValue::as_str).unwrap_or("setm-bench-baseline/v1").to_string()
-    };
-    let ref_schema = schema_of(&reference);
-    // v5 added only wall-clock sections (serve_saturation,
-    // incremental_t20_i6), v6 only wall-clock queue-wait percentiles,
-    // and v7 only the constrained_t20_i6 pushdown section — their
-    // deterministic subtrees are v4's.
-    let plan_schemas = [
-        "setm-bench-baseline/v3",
-        "setm-bench-baseline/v4",
-        "setm-bench-baseline/v5",
-        "setm-bench-baseline/v6",
-        "setm-bench-baseline/v7",
-    ];
-    let pool_schemas = [
-        "setm-bench-baseline/v4",
-        "setm-bench-baseline/v5",
-        "setm-bench-baseline/v6",
-        "setm-bench-baseline/v7",
-    ];
-    let reference_is_pre_plan = !plan_schemas.contains(&ref_schema.as_str());
-    let reference_is_pre_pool = !pool_schemas.contains(&ref_schema.as_str());
-    let mut tolerated: Vec<&str> = Vec::new();
-    if reference_is_pre_plan {
-        tolerated.extend(PLAN_FIELDS);
-        println!(
-            "note: reference schema {ref_schema} predates plan recording; v3 fields \
-             (plans, needle_bench) are reported but not gated.\n"
-        );
-    }
-    if reference_is_pre_pool {
-        tolerated.extend(POOL_FIELDS);
-        println!(
-            "note: reference schema {ref_schema} predates the shared buffer pool; v4 \
-             fields (engine_page_accesses_pool, pool_ablation) are reported but not gated.\n"
-        );
-    }
     let mut drifts: Vec<String> = Vec::new();
-    diff_deterministic("deterministic", r, c, &tolerated, &mut drifts);
+    diff_deterministic("deterministic", r, c, &mut drifts);
     if drifts.is_empty() {
         println!("OK: every deterministic counter matches {ref_path}.");
     } else {
@@ -1582,21 +1549,39 @@ fn repro_check_baseline(candidate: Option<String>, reference: Option<String>) {
     }
 }
 
-/// Deterministic counters introduced by the v3 schema (the planner).
-const PLAN_FIELDS: [&str; 2] = ["plans", "needle_bench"];
-/// Deterministic counters introduced by the v4 schema (the shared pool).
-const POOL_FIELDS: [&str; 2] = ["engine_page_accesses_pool", "pool_ablation"];
+/// The schema `baseline` writes and the only one `check-baseline`
+/// compares: the checked-in reference is regenerated at every bump.
+const BASELINE_SCHEMA: &str = "setm-bench-baseline/v7";
+
+/// Why `check-baseline` cannot compare a file.
+enum BaselineError {
+    Read(String),
+    Parse(String),
+    /// The file's `schema` field (or `none`).
+    Schema(String),
+}
+
+impl std::fmt::Display for BaselineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BaselineError::Read(e) => write!(f, "could not read: {e}"),
+            BaselineError::Parse(e) => write!(f, "could not parse: {e}"),
+            BaselineError::Schema(found) => write!(
+                f,
+                "schema {found} is not the expected {BASELINE_SCHEMA}; \
+                 regenerate it with `repro -- baseline`"
+            ),
+        }
+    }
+}
 
 /// Recursive exact comparison of the deterministic subtree; every
 /// mismatch (value drift, missing key, extra key, shape change) is one
-/// human-readable line. `tolerated` is the schema bridge: candidate-only
-/// keys introduced by a schema the reference predates (plan fields for
-/// v2, pool fields for v3) are skipped instead of flagged.
+/// human-readable line.
 fn diff_deterministic(
     path: &str,
     reference: &setm_serve::json::Json,
     candidate: &setm_serve::json::Json,
-    tolerated: &[&str],
     drifts: &mut Vec<String>,
 ) {
     use setm_serve::json::Json as J;
@@ -1604,24 +1589,12 @@ fn diff_deterministic(
         (J::Obj(rm), J::Obj(cm)) => {
             for (key, rv) in rm {
                 match candidate.get(key) {
-                    Some(cv) => diff_deterministic(
-                        &format!("{path}.{key}"),
-                        rv,
-                        cv,
-                        tolerated,
-                        drifts,
-                    ),
+                    Some(cv) => diff_deterministic(&format!("{path}.{key}"), rv, cv, drifts),
                     None => drifts.push(format!("{path}.{key}: missing from candidate")),
                 }
             }
             for (key, _) in cm {
                 if reference.get(key).is_none() {
-                    if tolerated.contains(&key.as_str()) {
-                        println!(
-                            "  {path}.{key}: newer than the reference schema — not gated"
-                        );
-                        continue;
-                    }
                     drifts.push(format!(
                         "{path}.{key}: present in candidate but not in the baseline"
                     ));
@@ -1637,7 +1610,7 @@ fn diff_deterministic(
                 ));
             } else {
                 for (i, (rv, cv)) in ra.iter().zip(ca.iter()).enumerate() {
-                    diff_deterministic(&format!("{path}[{i}]"), rv, cv, tolerated, drifts);
+                    diff_deterministic(&format!("{path}[{i}]"), rv, cv, drifts);
                 }
             }
         }

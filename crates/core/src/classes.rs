@@ -280,7 +280,8 @@ mod tests {
         let params = crate::example::paper_example_params();
         let result = mine_by_class(&d, &params).unwrap();
         assert_eq!(result.by_class.len(), 1);
-        let plain = generate_rules(&setm::memory::mine(&base, &params), params.min_confidence);
+        let plain = setm::memory::run(&base, &setm::ExecCtx::new(params));
+        let plain = generate_rules(&plain, params.min_confidence);
         assert_eq!(result.by_class[0].1.len(), plain.len());
         assert_eq!(result.merged.len(), plain.len());
     }

@@ -284,8 +284,8 @@ pub struct CompiledConstraints {
 
 impl CompiledConstraints {
     /// No constraints — every backend's unconstrained fast path.
-    pub fn none() -> Self {
-        CompiledConstraints::default()
+    pub const fn none() -> Self {
+        CompiledConstraints { anchor_len: 0, excluded: Vec::new() }
     }
 
     /// Whether there is nothing to enforce.

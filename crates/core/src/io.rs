@@ -251,8 +251,8 @@ mod tests {
         let via_fimi = parse_fimi(&to_fimi(&d)).unwrap();
         let params = MiningParams::new(MinSupport::Fraction(0.3), 0.7);
         // tids differ (positional), but supports are tid-agnostic.
-        let a = crate::setm::memory::mine(&d, &params);
-        let b = crate::setm::memory::mine(&via_fimi, &params);
+        let a = crate::setm::memory::run(&d, &crate::setm::ExecCtx::new(params));
+        let b = crate::setm::memory::run(&via_fimi, &crate::setm::ExecCtx::new(params));
         assert_eq!(a.frequent_itemsets(), b.frequent_itemsets());
     }
 }

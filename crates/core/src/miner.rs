@@ -21,7 +21,7 @@
 //! ```
 
 use crate::classes::{ClassedDataset, ClassedMiningResult};
-use crate::constraints::{CompiledConstraints, ItemRemap, MiningConstraints};
+use crate::constraints::{ItemRemap, MiningConstraints};
 use crate::data::{Dataset, Item, MinSupport, MiningParams};
 use crate::error::SetmError;
 use crate::itemvec::ItemVec;
@@ -29,7 +29,7 @@ use crate::pattern::CountRelation;
 use crate::rules::{generate_constrained_rules, generate_rules, Rule};
 use crate::setm::engine::{self, EngineConfig};
 use crate::setm::plan::PlanMode;
-use crate::setm::{memory, sql, SetmOptions, SetmResult};
+use crate::setm::{memory, sql, ExecCtx, SetmResult};
 use setm_obs::{NullSink, ObsSink};
 use setm_relational::pager::IoStats;
 use std::sync::Arc;
@@ -476,26 +476,20 @@ impl Miner {
             }
             None => dataset,
         };
-        let unconstrained = CompiledConstraints::none();
-        let cc = plan.as_ref().map_or(&unconstrained, |p| p.compiled());
+        let mut ctx = ExecCtx {
+            threads: self.threads,
+            filter_r1: self.filter_r1,
+            plan_mode: mode,
+            sink: self.sink(),
+            ..ExecCtx::new(self.params)
+        };
+        if let Some(plan) = &plan {
+            ctx.constraints = plan.compiled();
+        }
         let (mut result, report) = match &self.backend {
-            Backend::Memory => {
-                let opts = SetmOptions { filter_r1: self.filter_r1, threads: self.threads };
-                (
-                    memory::mine_constrained(data, &self.params, opts, mode, self.sink(), cc),
-                    ExecutionReport::Memory,
-                )
-            }
+            Backend::Memory => (memory::run(data, &ctx), ExecutionReport::Memory),
             Backend::Engine(cfg) => {
-                let run = engine::mine_constrained(
-                    data,
-                    &self.params,
-                    *cfg,
-                    self.threads,
-                    mode,
-                    self.sink(),
-                    cc,
-                )?;
+                let run = engine::run(data, &ctx, *cfg)?;
                 let report = ExecutionReport::Engine(EngineReport {
                     page_accesses: run.total_page_accesses,
                     estimated_io_ms: run.total_estimated_ms,
@@ -505,8 +499,7 @@ impl Miner {
                 (run.result, report)
             }
             Backend::Sql => {
-                let run =
-                    sql::mine_constrained(data, &self.params, self.threads, mode, self.sink(), cc)?;
+                let run = sql::run(data, &ctx)?;
                 (run.result, ExecutionReport::Sql(SqlReport { statements: run.statements }))
             }
         };

@@ -51,28 +51,28 @@
 //! all shard pagers.
 
 use crate::constraints::CompiledConstraints;
-use crate::data::{Dataset, MiningParams};
-use crate::nested_loop::SalesIndex;
+use crate::data::Dataset;
+use crate::nested_loop::{append_item, extension_predicate, SalesIndex};
 use crate::pattern::CountRelation;
-use crate::setm::plan::{JoinStrategy, LiveStats, PlanMode, Planner, PlannerConfig};
-#[cfg(test)]
-use crate::setm::plan::PhysicalPlan;
+use crate::setm::driver::{drive, Figure4};
+use crate::setm::plan::{JoinStrategy, LiveStats, PhysicalPlan, Planner, PlannerConfig};
 use crate::setm::shard::{partition_by_weight, resolve_threads};
-use crate::setm::{IterationTrace, SetmResult};
+use crate::setm::{ExecCtx, IterationTrace, SetmResult};
 use setm_costmodel::DbParams;
-use setm_obs::{NullSink, ObsEvent, ObsSink};
+use setm_obs::ObsEvent;
 use setm_relational::heap::{HeapFile, HeapFileBuilder};
 use setm_relational::join::merge_scan_join;
-use setm_relational::pager::{IoStats, Pager, SharedPager};
+use setm_relational::pager::{CostModel, IoStats, Pager, SharedPager};
 use setm_relational::pool::{split_frames_evenly, BufferPool};
 use setm_relational::sort::{external_sort, SortOptions};
 use setm_relational::Result;
+use std::cell::Cell;
 
 /// Configuration of the paged-engine backend — what
 /// [`crate::Backend::Engine`] carries. Worker threads are *not* part of
 /// the backend configuration: they are an execution knob set on the
-/// [`crate::Miner`] builder (or passed to [`mine_with`]) so the same
-/// knob drives every backend.
+/// [`crate::Miner`] builder (or in the [`ExecCtx`] passed to [`run`]) so
+/// the same knob drives every backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Workspace ceiling for the external sorts, in pages (a two-phase
@@ -130,76 +130,26 @@ pub struct EngineRun {
     pub cache_frames: usize,
 }
 
-/// Mine `dataset` on a fresh paged engine with cost-based planning.
+/// Mine `dataset` on a fresh paged engine.
 ///
-/// `threads` = 0 resolves to the machine's available parallelism, 1
-/// forces the paper's sequential plan; mined results are identical for
-/// every value. This is the low-level execution function behind
-/// [`crate::Backend::Engine`]; prefer driving it through the
-/// [`crate::Miner`] facade, which validates inputs and returns the
-/// shared [`crate::MiningOutcome`] / [`crate::SetmError`] types.
-pub fn mine_with(
-    dataset: &Dataset,
-    params: &MiningParams,
-    config: EngineConfig,
-    threads: usize,
-) -> Result<EngineRun> {
-    mine_planned(dataset, params, config, threads, PlanMode::Auto)
-}
-
-/// [`mine_with`] with an explicit plan-selection mode. Every legal
-/// [`PlanMode::Forced`] plan mines the identical result; only the access
-/// pattern — and therefore the measured I/O — changes.
-pub fn mine_planned(
-    dataset: &Dataset,
-    params: &MiningParams,
-    config: EngineConfig,
-    threads: usize,
-    mode: PlanMode,
-) -> Result<EngineRun> {
-    mine_observed(dataset, params, config, threads, mode, &NullSink)
-}
-
-/// [`mine_planned`] with a telemetry sink: each iteration's trace row is
-/// reported the moment it is computed ([`ObsEvent::Iteration`]), shard
-/// repartitions and adaptive pool rebalances emit [`ObsEvent::Note`]s.
-/// Events fire on the coordinator thread between parallel phases and
-/// carry copies of already-computed numbers, so the run's charged I/O
-/// and mined result are identical to the unobserved run.
-pub fn mine_observed(
-    dataset: &Dataset,
-    params: &MiningParams,
-    config: EngineConfig,
-    threads: usize,
-    mode: PlanMode,
-    sink: &dyn ObsSink,
-) -> Result<EngineRun> {
-    mine_constrained(dataset, params, config, threads, mode, sink, &CompiledConstraints::none())
-}
-
-/// [`mine_observed`] with compiled [`crate::MiningConstraints`] pushed
-/// into the extension joins (see `crate::constraints` — the dataset must
-/// already be in mining space when items are required). Constraint
-/// checks run inside the join predicates, so a pruned pair never reaches
-/// `R'_k`, never gets sorted, and never gets counted; the per-iteration
-/// pruned-pair totals land in the trace's `candidates_pruned`. With
-/// empty constraints this *is* `mine_observed`.
-#[allow(clippy::too_many_arguments)]
-pub fn mine_constrained(
-    dataset: &Dataset,
-    params: &MiningParams,
-    config: EngineConfig,
-    threads: usize,
-    mode: PlanMode,
-    sink: &dyn ObsSink,
-    cc: &CompiledConstraints,
-) -> Result<EngineRun> {
+/// Every legal [`crate::PlanMode::Forced`] plan mines the identical
+/// result; only the access pattern — and therefore the measured I/O —
+/// changes. Compiled constraints run inside the extension joins'
+/// predicates, so a pruned pair never reaches `R'_k`, never gets sorted,
+/// and never gets counted. The sink sees each trace row as it is
+/// computed, plus a note per shard repartition and adaptive pool
+/// rebalance; events fire on the coordinator thread between parallel
+/// phases, so the charged I/O is identical to an unobserved run.
+///
+/// This is the low-level execution behind [`crate::Backend::Engine`];
+/// prefer the [`crate::Miner`] facade, which validates inputs and
+/// returns the shared [`crate::MiningOutcome`] / [`crate::SetmError`]
+/// types.
+pub fn run(dataset: &Dataset, ctx: &ExecCtx, config: EngineConfig) -> Result<EngineRun> {
     let n_txns = dataset.n_transactions();
-    let min_count = params.min_support.to_count(n_txns.max(1));
-    let max_len = params.max_pattern_len.unwrap_or(usize::MAX);
-    let max_shards = resolve_threads(threads).min(n_txns.max(1) as usize);
+    let max_shards = resolve_threads(ctx.threads).min(n_txns.max(1) as usize);
     let planner = Planner::new(
-        mode,
+        ctx.plan_mode,
         PlannerConfig {
             max_shards,
             sort_buffer_cap: config.sort_buffer_pages,
@@ -223,211 +173,223 @@ pub fn mine_constrained(
     // Dataset-wide statistics the planner sees every iteration.
     let weights: Vec<usize> = dataset.transactions().map(|(_, items)| items.len()).collect();
     let sales_tuples: u64 = weights.iter().map(|&w| w as u64).sum();
-    let max_txn_len = weights.iter().copied().max().unwrap_or(0) as u64;
-    let live = |r_prev_tuples: u64, c_prev_len: u64| LiveStats {
+    let stats = LiveStats {
         n_txns,
         sales_tuples,
-        max_txn_len,
-        r_prev_tuples,
-        c_prev_len,
+        max_txn_len: weights.iter().copied().max().unwrap_or(0) as u64,
+        r_prev_tuples: sales_tuples,
+        c_prev_len: 1,
     };
 
     // The k = 1 count precedes any live observation, so `SALES` is laid
     // out for the plan the first real iteration will run (the shard
     // dimension never depends on the yet-unknown |C_1|).
-    let mut layout_shards = planner.plan_iteration(2, &live(sales_tuples, 1)).shards;
-    let mut shards = build_shards(dataset, &weights, layout_shards, &config, pool.as_ref())?;
+    let layout_shards = planner.plan_iteration(2, &stats).shards;
+    let shards = build_shards(dataset, &weights, layout_shards, &config, pool.as_ref())?;
     let cost_model = shards[0].pager.lock().cost_model();
-    let mut retired = IoStats::default();
-
-    let mut counts: Vec<CountRelation> = Vec::new();
-    let mut trace: Vec<IterationTrace> = Vec::new();
-    let k1_sort = SortOptions { buffer_pages: config.sort_buffer_pages };
-
-    // k = 1: sort R1 on item; C1 := generate counts from R1. The paper
-    // never filters the sales relation, so no filtered output is built.
-    let c1 = if shards.len() == 1 {
-        let sh = &mut shards[0];
-        let by_item = external_sort(&sh.sales, &[1], k1_sort)?;
-        let c1 = count_sorted_groups(&by_item, &[1], min_count, false)?.counts;
-        by_item.free()?;
-        c1
-    } else {
-        run_on_shards(&mut shards, |sh| sh.count_items(k1_sort))?;
-        let locals = take_local_counts(&mut shards);
-        CountRelation::merge_sum_filter(&locals, min_count)
+    let exec = EngineExec {
+        dataset,
+        ctx,
+        config,
+        planner,
+        stats,
+        pool,
+        weights,
+        layout_shards,
+        shards,
+        cost_model,
+        retired: IoStats::default(),
     };
-    // Constraint pushdown at k = 1: the anchored/exclusion-filtered C1
-    // is the full count relation restricted to items allowed at pattern
-    // position 0 — an in-memory restriction (C_k is kept in memory per
-    // Section 4.3's accounting, so no I/O is charged), with the pruned
-    // rows counted from the dataset exactly like the memory backend.
-    let (c1, pruned1) = if cc.is_empty() {
-        (c1, 0u64)
-    } else {
-        let mut kept = CountRelation::new(1);
-        for (pattern, count) in c1.iter() {
-            if cc.allows_at(0, pattern[0]) {
+    drive(dataset, ctx, exec)
+}
+
+/// The paged-engine operators: `SALES` and `R_{k-1}` laid out across
+/// `trans_id` shards, each on its own pager.
+struct EngineExec<'a> {
+    dataset: &'a Dataset,
+    ctx: &'a ExecCtx<'a>,
+    config: EngineConfig,
+    planner: Planner,
+    stats: LiveStats,
+    pool: Option<BufferPool>,
+    weights: Vec<usize>,
+    layout_shards: usize,
+    shards: Vec<EngineShard>,
+    cost_model: CostModel,
+    /// I/O charged on pagers a repartition retired.
+    retired: IoStats,
+}
+
+impl EngineExec<'_> {
+    /// A trace row's I/O fields from the charged delta.
+    fn io_row(&self, delta: &IoStats) -> IterationTrace {
+        IterationTrace {
+            page_accesses: delta.accesses(),
+            estimated_io_ms: delta.estimated_ms(&self.cost_model),
+            cache_hits: delta.cache_hits,
+            pool_steals: delta.pool_steals,
+            ..IterationTrace::default()
+        }
+    }
+}
+
+impl Figure4 for EngineExec<'_> {
+    type Output = EngineRun;
+    type Error = setm_relational::Error;
+
+    /// Sort `R1` on item and count it; the paper never filters the sales
+    /// relation, so no filtered output is built.
+    fn count_c1(&mut self, min_count: u64) -> Result<(CountRelation, IterationTrace)> {
+        let k1_sort = SortOptions { buffer_pages: self.config.sort_buffer_pages };
+        let c1 = if self.shards.len() == 1 {
+            let sh = &mut self.shards[0];
+            let by_item = external_sort(&sh.sales, &[1], k1_sort)?;
+            let c1 = count_sorted_groups(&by_item, &[1], min_count, false)?.counts;
+            by_item.free()?;
+            c1
+        } else {
+            run_on_shards(&mut self.shards, |sh| sh.count_items(k1_sort))?;
+            let locals = take_local_counts(&mut self.shards);
+            CountRelation::merge_sum_filter(&locals, min_count)
+        };
+        // Constraint pushdown at k = 1: the anchored/exclusion-filtered C1
+        // is the full count relation restricted to items allowed at
+        // pattern position 0 — an in-memory restriction (C_k is kept in
+        // memory per Section 4.3's accounting, so no I/O is charged).
+        let cc = self.ctx.constraints;
+        let c1 = if cc.is_empty() {
+            c1
+        } else {
+            let mut kept = CountRelation::new(1);
+            for (pattern, count) in c1.iter().filter(|(p, _)| cc.allows_at(0, p[0])) {
                 kept.push(pattern, count);
             }
-        }
-        let pruned = dataset.items().iter().filter(|&&it| !cc.allows_at(0, it)).count() as u64;
-        (kept, pruned)
-    };
-    let delta = sum_deltas(&mut shards);
-    trace.push(IterationTrace {
-        k: 1,
-        r_prime_tuples: sales_tuples,
-        r_tuples: sales_tuples,
-        r_kbytes: shards.iter().map(|sh| sh.sales.data_bytes()).sum::<u64>() as f64 / 1024.0,
-        c_len: c1.len() as u64,
-        page_accesses: delta.accesses(),
-        estimated_io_ms: delta.estimated_ms(&cost_model),
-        cache_hits: delta.cache_hits,
-        pool_steals: delta.pool_steals,
-        candidates_pruned: pruned1,
-        plan: None,
-    });
-    sink.on_event(&ObsEvent::Iteration(trace[0].snapshot()));
-    let mut c_prev_len = c1.len() as u64;
-    if !c1.is_empty() {
-        counts.push(c1);
+            kept
+        };
+        let delta = sum_deltas(&mut self.shards);
+        let sales_bytes: u64 = self.shards.iter().map(|sh| sh.sales.data_bytes()).sum();
+        let row = IterationTrace {
+            r_prime_tuples: self.stats.sales_tuples,
+            r_tuples: self.stats.sales_tuples,
+            r_kbytes: sales_bytes as f64 / 1024.0,
+            ..self.io_row(&delta)
+        };
+        Ok((c1, row))
     }
 
-    let mut r_prev_tuples = sales_tuples;
-    let mut k = 1usize;
-    if max_len > 1 && n_txns > 0 {
-        loop {
-            k += 1;
-            let stats = live(r_prev_tuples, c_prev_len);
-            let plan = planner.plan_iteration(k, &stats);
-            let sort_opts = SortOptions { buffer_pages: plan.sort_buffer_pages };
+    fn start_loop(&mut self, _c1: Option<&CountRelation>) -> (Planner, LiveStats) {
+        (self.planner, self.stats)
+    }
 
-            // Re-shard when the plan's parallelism changed. The move I/O
-            // is attributed to this iteration's trace row.
-            let mut iter_delta = IoStats::default();
-            if plan.shards != layout_shards {
-                let (moved, new_shards) = repartition(
-                    dataset,
-                    &weights,
-                    shards,
-                    plan.shards,
-                    &config,
-                    pool.as_ref(),
-                    &mut retired,
-                )?;
-                shards = new_shards;
-                layout_shards = plan.shards;
-                sink.on_event(&ObsEvent::Note {
-                    name: "repartition",
-                    k,
-                    value: plan.shards as u64,
-                });
-                iter_delta = moved;
-            } else if let Some(pool) = &pool {
-                // Adaptive admission: re-divide the pool's frames in
-                // proportion to the live |R_{k-1}| each shard carries
-                // into this iteration. Runs on this thread between
-                // parallel phases, so charged accesses stay
-                // deterministic; the moved frames are the iteration's
-                // steal count.
-                if shards.len() > 1 {
-                    let live_weights: Vec<u64> =
-                        shards.iter().map(|sh| sh.r_prev.n_records().max(1)).collect();
-                    let moved = pool.rebalance(&live_weights);
-                    sink.on_event(&ObsEvent::Note { name: "pool_rebalance", k, value: moved });
-                    iter_delta.pool_steals += moved;
-                    retired.pool_steals += moved;
-                }
+    fn iterate(
+        &mut self,
+        k: usize,
+        plan: &mut PhysicalPlan,
+        min_count: u64,
+    ) -> Result<(CountRelation, IterationTrace)> {
+        let sink = self.ctx.sink;
+        let cc = self.ctx.constraints;
+        let sort_opts = SortOptions { buffer_pages: plan.sort_buffer_pages };
+
+        // Re-shard when the plan's parallelism changed. The move I/O is
+        // attributed to this iteration's trace row.
+        let mut iter_delta = IoStats::default();
+        if plan.shards != self.layout_shards {
+            let old = std::mem::take(&mut self.shards);
+            let (moved, new_shards) = repartition(
+                self.dataset,
+                &self.weights,
+                old,
+                plan.shards,
+                &self.config,
+                self.pool.as_ref(),
+                &mut self.retired,
+            )?;
+            self.shards = new_shards;
+            self.layout_shards = plan.shards;
+            sink.on_event(&ObsEvent::Note { name: "repartition", k, value: plan.shards as u64 });
+            iter_delta = moved;
+        } else if let Some(pool) = &self.pool {
+            // Adaptive admission: re-divide the pool's frames in
+            // proportion to the live |R_{k-1}| each shard carries into
+            // this iteration. Runs on this thread between parallel
+            // phases, so charged accesses stay deterministic; the moved
+            // frames are the iteration's steal count.
+            if self.shards.len() > 1 {
+                let live_weights: Vec<u64> =
+                    self.shards.iter().map(|sh| sh.r_prev.n_records().max(1)).collect();
+                let moved = pool.rebalance(&live_weights);
+                sink.on_event(&ObsEvent::Note { name: "pool_rebalance", k, value: moved });
+                iter_delta.pool_steals += moved;
+                self.retired.pool_steals += moved;
             }
+        }
 
-            // Figure 4 replays the loop-top sort literally when the plan
-            // does not reuse the standing (trans_id, items) order; the
-            // previous iteration's closing ORDER BY makes it the
-            // identity, so results never depend on this bit.
-            let resort = !plan.reuse_sort;
+        // Figure 4 replays the loop-top sort literally when the plan does
+        // not reuse the standing (trans_id, items) order; the previous
+        // iteration's closing ORDER BY makes it the identity, so results
+        // never depend on this bit.
+        let resort = !plan.reuse_sort;
+        let (c_k, r_tuples, r_bytes, r_prime_tuples) = if self.shards.len() == 1 {
+            // The paper's fused sequential pipeline: C_k and R_k come
+            // from one counting pass (C_k kept in memory per Section
+            // 4.3's accounting).
+            let sh = &mut self.shards[0];
+            let sorted_prime = sh.extend_sorted(k, resort, plan.join, sort_opts, cc)?;
             let item_key: Vec<usize> = (1..=k).collect();
+            let scan = count_sorted_groups(&sorted_prime, &item_key, min_count, true)?;
+            sorted_prime.free()?;
+            let r_k = scan.filtered.expect("filter output requested");
+            let r_k = order_by_tid_items(r_k, k, sort_opts)?;
+            let (n, bytes) = (r_k.n_records(), r_k.data_bytes());
+            sh.install_r_prev(r_k)?;
+            (scan.counts, n, bytes, sh.r_prime_tuples)
+        } else {
+            // Decoupled parallel pipeline: threshold-free local counts,
+            // global k-way merge, per-shard filter.
+            run_on_shards(&mut self.shards, |sh| sh.phase1(k, resort, plan.join, sort_opts, cc))?;
+            let locals = take_local_counts(&mut self.shards);
+            let c_k = CountRelation::merge_sum_filter(&locals, min_count);
+            let c_ref = &c_k;
+            run_on_shards(&mut self.shards, |sh| sh.filter(k, c_ref, sort_opts))?;
+            let n: u64 = self.shards.iter().map(|sh| sh.r_prev.n_records()).sum();
+            let bytes: u64 = self.shards.iter().map(|sh| sh.r_prev.data_bytes()).sum();
+            let r_prime: u64 = self.shards.iter().map(|sh| sh.r_prime_tuples).sum();
+            (c_k, n, bytes, r_prime)
+        };
 
-            let (c_k, r_tuples, r_kbytes, r_prime_total) = if shards.len() == 1 {
-                // The paper's fused sequential pipeline: C_k and R_k come
-                // from one counting pass (C_k kept in memory per Section
-                // 4.3's accounting).
-                let sh = &mut shards[0];
-                let sorted_prime = sh.extend_sorted(k, resort, plan.join, sort_opts, cc)?;
-                let scan = count_sorted_groups(&sorted_prime, &item_key, min_count, true)?;
-                sorted_prime.free()?;
-                let c_k = scan.counts;
-                let r_k = scan.filtered.expect("filter output requested");
-                let r_k = order_by_tid_items(r_k, k, sort_opts)?;
-                let (n, bytes) = (r_k.n_records(), r_k.data_bytes());
-                sh.install_r_prev(r_k)?;
-                (c_k, n, bytes as f64 / 1024.0, sh.r_prime_tuples)
-            } else {
-                // Decoupled parallel pipeline: threshold-free local
-                // counts, global k-way merge, per-shard filter.
-                run_on_shards(&mut shards, |sh| sh.phase1(k, resort, plan.join, sort_opts, cc))?;
-                let locals = take_local_counts(&mut shards);
-                let c_k = CountRelation::merge_sum_filter(&locals, min_count);
-                let r_prime_total: u64 = shards.iter().map(|sh| sh.r_prime_tuples).sum();
-                let c_ref = &c_k;
-                run_on_shards(&mut shards, |sh| sh.filter(k, c_ref, sort_opts))?;
-                let n: u64 = shards.iter().map(|sh| sh.r_prev.n_records()).sum();
-                let bytes: u64 = shards.iter().map(|sh| sh.r_prev.data_bytes()).sum();
-                (c_k, n, bytes as f64 / 1024.0, r_prime_total)
-            };
-            let pruned: u64 = shards.iter().map(|sh| sh.pruned_pairs).sum();
+        let delta = iter_delta.plus(&sum_deltas(&mut self.shards));
+        let row = IterationTrace {
+            r_prime_tuples,
+            r_tuples,
+            r_kbytes: r_bytes as f64 / 1024.0,
+            candidates_pruned: self.shards.iter().map(|sh| sh.pruned_pairs).sum(),
+            ..self.io_row(&delta)
+        };
+        Ok((c_k, row))
+    }
 
-            let delta = iter_delta.plus(&sum_deltas(&mut shards));
-            trace.push(IterationTrace {
-                k,
-                r_prime_tuples: r_prime_total,
-                r_tuples,
-                r_kbytes,
-                c_len: c_k.len() as u64,
-                page_accesses: delta.accesses(),
-                estimated_io_ms: delta.estimated_ms(&cost_model),
-                cache_hits: delta.cache_hits,
-                pool_steals: delta.pool_steals,
-                candidates_pruned: pruned,
-                plan: Some(plan),
-            });
-            sink.on_event(&ObsEvent::Iteration(trace[trace.len() - 1].snapshot()));
-
-            r_prev_tuples = r_tuples;
-            c_prev_len = c_k.len() as u64;
-            let done = r_tuples == 0 || k >= max_len;
-            if !c_k.is_empty() {
-                counts.push(c_k);
-            }
-            if done {
-                for sh in &mut shards {
-                    sh.free_prev()?;
-                }
-                break;
-            }
+    fn finish(mut self, result: SetmResult) -> Result<EngineRun> {
+        for sh in &mut self.shards {
+            sh.free_prev()?;
         }
+        // Every charged access was returned by exactly one `take_delta`
+        // and attributed to exactly one trace row, so the total is the
+        // sum of the per-iteration deltas by construction.
+        let mut total = self.retired;
+        for sh in &self.shards {
+            total = total.plus(&sh.measured);
+        }
+        let cache_frames: usize =
+            self.shards.iter().map(|sh| sh.pager.lock().cache_frames()).sum();
+        Ok(EngineRun {
+            result,
+            total_page_accesses: total.accesses(),
+            total_estimated_ms: total.estimated_ms(&self.cost_model),
+            io: total,
+            cache_frames,
+        })
     }
-
-    // Every charged access was returned by exactly one `take_delta` and
-    // attributed to exactly one trace row, so the total is the sum of
-    // the per-iteration deltas by construction.
-    let mut total = retired;
-    for sh in &shards {
-        total = total.plus(&sh.measured);
-    }
-    let effective_frames: usize = shards.iter().map(|sh| sh.pager.lock().cache_frames()).sum();
-    Ok(EngineRun {
-        result: SetmResult {
-            counts,
-            trace,
-            n_transactions: n_txns,
-            min_support_count: min_count,
-        },
-        total_page_accesses: total.accesses(),
-        total_estimated_ms: total.estimated_ms(&cost_model),
-        io: total,
-        cache_frames: effective_frames,
-    })
 }
 
 /// Lay `SALES` out across `n_shards` contiguous `trans_id` ranges
@@ -621,68 +583,12 @@ impl EngineShard {
             self.free_prev()?;
             self.r_prev = sorted;
         }
-        self.pruned_pairs = 0;
-        let r_prime = match (join, cc.is_empty()) {
-            (JoinStrategy::MergeScan, true) => merge_scan_join(
-                &self.r_prev,
-                &self.sales,
-                &[0],
-                &[0],
-                k + 1,
-                |l, r| r[1] > l[k_prev],
-                |l, r, out| {
-                    out.extend_from_slice(l);
-                    out.push(r[1]);
-                },
-            )?,
-            (JoinStrategy::MergeScan, false) => {
-                // Constraint pushdown inside the join predicate: a pair
-                // that passes the paper's `item > last` test but fails
-                // the compiled constraints is counted and dropped before
-                // it can reach R'_k. The k = 2 prefix check covers the
-                // unfiltered R_1 side; later R_{k-1} are clean because
-                // they were filtered against the anchored C_{k-1}.
-                let check_prefix = k_prev == 1;
-                let pruned = std::cell::Cell::new(0u64);
-                let out = merge_scan_join(
-                    &self.r_prev,
-                    &self.sales,
-                    &[0],
-                    &[0],
-                    k + 1,
-                    |l, r| {
-                        if r[1] <= l[k_prev] {
-                            return false;
-                        }
-                        if (check_prefix && !cc.allows_at(0, l[1]))
-                            || !cc.allows_at(k_prev, r[1])
-                        {
-                            pruned.set(pruned.get() + 1);
-                            return false;
-                        }
-                        true
-                    },
-                    |l, r, out| {
-                        out.extend_from_slice(l);
-                        out.push(r[1]);
-                    },
-                )?;
-                self.pruned_pairs = pruned.get();
-                out
-            }
-            (JoinStrategy::NestedLoop, true) => {
-                self.ensure_index()?;
-                let index = self.index.as_ref().expect("ensured");
-                index.extend_join(&self.r_prev, k)?
-            }
-            (JoinStrategy::NestedLoop, false) => {
-                self.ensure_index()?;
-                let index = self.index.as_ref().expect("ensured");
-                let (out, pruned) = index.extend_join_constrained(&self.r_prev, k, cc)?;
-                self.pruned_pairs = pruned;
-                out
-            }
+        let (r_prime, pruned) = if cc.is_empty() {
+            self.extension_join(k, join, |_, _| true)?
+        } else {
+            self.extension_join(k, join, |pos, it| cc.allows_at(pos, it))?
         };
+        self.pruned_pairs = pruned;
         self.free_prev()?;
         self.r_prev = self.sales.clone(); // placeholder until R_k lands
         let item_key: Vec<usize> = (1..=k).collect();
@@ -690,6 +596,37 @@ impl EngineShard {
         self.r_prime_tuples = r_prime.n_records();
         r_prime.free()?;
         Ok(sorted_prime)
+    }
+
+    /// `R'_k` from `R_{k-1}` and the local `SALES` by the plan's access
+    /// path, keeping the pairs `allow` admits (see
+    /// [`extension_predicate`]); returns the rejected-pair count too.
+    fn extension_join(
+        &mut self,
+        k: usize,
+        join: JoinStrategy,
+        allow: impl Fn(usize, u32) -> bool,
+    ) -> Result<(HeapFile, u64)> {
+        match join {
+            JoinStrategy::MergeScan => {
+                let pruned = Cell::new(0u64);
+                let out = merge_scan_join(
+                    &self.r_prev,
+                    &self.sales,
+                    &[0],
+                    &[0],
+                    k + 1,
+                    extension_predicate(k - 1, &allow, &pruned),
+                    append_item,
+                )?;
+                Ok((out, pruned.get()))
+            }
+            JoinStrategy::NestedLoop => {
+                self.ensure_index()?;
+                let index = self.index.as_ref().expect("ensured");
+                index.extend_join(&self.r_prev, k, allow)
+            }
+        }
     }
 
     /// Parallel-plan phase 1: extension join, item sort, local count.
@@ -874,17 +811,27 @@ mod tests {
     use crate::data::{Dataset, MinSupport, MiningParams};
     use crate::example;
     use crate::setm::memory;
+    use crate::setm::plan::PlanMode;
 
     fn cfg() -> EngineConfig {
         EngineConfig::default()
+    }
+
+    fn mine_on(
+        d: &Dataset,
+        params: &MiningParams,
+        config: EngineConfig,
+        threads: usize,
+    ) -> Result<EngineRun> {
+        run(d, &ExecCtx { threads, ..ExecCtx::new(*params) }, config)
     }
 
     #[test]
     fn engine_matches_memory_on_worked_example() {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
-        let mem = memory::mine(&d, &params);
-        let eng = mine_with(&d, &params, cfg(), 0).unwrap();
+        let mem = memory::run(&d, &ExecCtx::new(params));
+        let eng = mine_on(&d, &params, cfg(), 0).unwrap();
         assert_eq!(eng.result.frequent_itemsets(), mem.frequent_itemsets());
         assert_eq!(eng.result.max_pattern_len(), 3);
         // Tuple counts per iteration agree too.
@@ -900,7 +847,7 @@ mod tests {
     fn engine_charges_io() {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
-        let eng = mine_with(&d, &params, cfg(), 0).unwrap();
+        let eng = mine_on(&d, &params, cfg(), 0).unwrap();
         assert!(eng.total_page_accesses > 0);
         assert!(eng.total_estimated_ms > 0.0);
         // Each iteration carries its own accesses; they sum to the total.
@@ -914,7 +861,7 @@ mod tests {
             (0..300).map(|t| (t, vec![1, 2, 3, 4 + (t % 4)])).collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Fraction(0.2), 0.5);
-        let run = mine_with(&d, &params, cfg(), 3).unwrap();
+        let run = mine_on(&d, &params, cfg(), 3).unwrap();
         assert!(run.total_page_accesses > 0);
         let sum: u64 = run.result.trace.iter().map(|t| t.page_accesses).sum();
         assert_eq!(sum, run.total_page_accesses);
@@ -935,9 +882,9 @@ mod tests {
             .collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Fraction(0.2), 0.5);
-        let seq = mine_with(&d, &params, cfg(), 1).unwrap();
+        let seq = mine_on(&d, &params, cfg(), 1).unwrap();
         for threads in [2usize, 3, 4, 8] {
-            let par = mine_with(&d, &params, cfg(), threads).unwrap();
+            let par = mine_on(&d, &params, cfg(), threads).unwrap();
             assert_eq!(
                 par.result.frequent_itemsets(),
                 seq.result.frequent_itemsets(),
@@ -962,9 +909,9 @@ mod tests {
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Fraction(0.2), 0.5);
         let tracked =
-            mine_with(&d, &params, EngineConfig { track_sort_order: true, ..cfg() }, 1).unwrap();
+            mine_on(&d, &params, EngineConfig { track_sort_order: true, ..cfg() }, 1).unwrap();
         let naive =
-            mine_with(&d, &params, EngineConfig { track_sort_order: false, ..cfg() }, 1).unwrap();
+            mine_on(&d, &params, EngineConfig { track_sort_order: false, ..cfg() }, 1).unwrap();
         assert_eq!(
             tracked.result.frequent_itemsets(),
             naive.result.frequent_itemsets(),
@@ -986,9 +933,9 @@ mod tests {
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Fraction(0.2), 0.5);
         let tracked =
-            mine_with(&d, &params, EngineConfig { track_sort_order: true, ..cfg() }, 4).unwrap();
+            mine_on(&d, &params, EngineConfig { track_sort_order: true, ..cfg() }, 4).unwrap();
         let naive =
-            mine_with(&d, &params, EngineConfig { track_sort_order: false, ..cfg() }, 4).unwrap();
+            mine_on(&d, &params, EngineConfig { track_sort_order: false, ..cfg() }, 4).unwrap();
         assert_eq!(tracked.result.frequent_itemsets(), naive.result.frequent_itemsets());
         assert!(tracked.total_page_accesses < naive.total_page_accesses);
     }
@@ -998,9 +945,9 @@ mod tests {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
         let cold =
-            mine_with(&d, &params, EngineConfig { cache_frames: 0, ..cfg() }, 1).unwrap();
+            mine_on(&d, &params, EngineConfig { cache_frames: 0, ..cfg() }, 1).unwrap();
         let warm =
-            mine_with(&d, &params, EngineConfig { cache_frames: 1024, ..cfg() }, 1).unwrap();
+            mine_on(&d, &params, EngineConfig { cache_frames: 1024, ..cfg() }, 1).unwrap();
         assert_eq!(cold.result.frequent_itemsets(), warm.result.frequent_itemsets());
         assert!(warm.total_page_accesses <= cold.total_page_accesses);
     }
@@ -1009,7 +956,7 @@ mod tests {
     fn empty_dataset() {
         let d = Dataset::from_pairs(std::iter::empty());
         let params = MiningParams::new(MinSupport::Count(1), 0.5);
-        let run = mine_with(&d, &params, cfg(), 0).unwrap();
+        let run = mine_on(&d, &params, cfg(), 0).unwrap();
         assert_eq!(run.result.max_pattern_len(), 0);
     }
 
@@ -1019,7 +966,7 @@ mod tests {
     fn trace_records_the_executed_plan() {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
-        let run = mine_with(&d, &params, cfg(), 1).unwrap();
+        let run = mine_on(&d, &params, cfg(), 1).unwrap();
         assert_eq!(run.result.trace[0].plan, None);
         assert_eq!(run.result.trace[0].plan_string(), "-");
         for t in &run.result.trace[1..] {
@@ -1039,23 +986,16 @@ mod tests {
         // Uncached: the I/O-shape assertion below is about the disk
         // access pattern, which a warm pool would absorb.
         let uncached = EngineConfig { cache_frames: 0, ..cfg() };
-        let ms = mine_planned(
+        let forced = |plan| ExecCtx {
+            threads: 1,
+            plan_mode: PlanMode::Forced(plan),
+            ..ExecCtx::new(params)
+        };
+        let ms = run(&d, &forced(PhysicalPlan::merge_scan()), uncached).unwrap();
+        let nl = run(
             &d,
-            &params,
+            &forced(PhysicalPlan { join: JoinStrategy::NestedLoop, ..PhysicalPlan::merge_scan() }),
             uncached,
-            1,
-            PlanMode::Forced(PhysicalPlan::merge_scan()),
-        )
-        .unwrap();
-        let nl = mine_planned(
-            &d,
-            &params,
-            uncached,
-            1,
-            PlanMode::Forced(PhysicalPlan {
-                join: JoinStrategy::NestedLoop,
-                ..PhysicalPlan::merge_scan()
-            }),
         )
         .unwrap();
         assert_eq!(nl.result.frequent_itemsets(), ms.result.frequent_itemsets());
@@ -1080,8 +1020,8 @@ mod tests {
             (0..80u32).map(|t| (t, vec![1, 2, 3, 100 + t])).collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Count(40), 0.5);
-        let seq = mine_with(&d, &params, cfg(), 1).unwrap();
-        let par = mine_with(&d, &params, cfg(), 4).unwrap();
+        let seq = mine_on(&d, &params, cfg(), 1).unwrap();
+        let par = mine_on(&d, &params, cfg(), 4).unwrap();
         assert_eq!(par.result.frequent_itemsets(), seq.result.frequent_itemsets());
         let k2 = par.result.trace[1].plan.unwrap();
         let k3 = par.result.trace[2].plan.unwrap();

@@ -10,245 +10,178 @@
 //!
 //! # Parallel sharded execution
 //!
-//! With `SetmOptions::threads > 1` the run is partitioned into contiguous
-//! `trans_id` shards (see [`crate::setm::shard`]): each worker sorts,
-//! merge-scans, and locally counts its own transactions under
-//! [`std::thread::scope`]; the per-shard count relations are then merged
-//! in one k-way pass ([`CountRelation::merge_sum_filter`]) to apply the
-//! global support threshold, and each shard filters its own `R'_k` against
-//! the merged `C_k`. Results — count relations and the `|R'_k|`/`|R_k|`/
-//! `|C_k|` trace series — are identical to the sequential run for every
-//! shard count; only wall-clock time changes.
+//! When an iteration's plan asks for more than one shard, the iteration
+//! is partitioned into contiguous `trans_id` shards (see
+//! [`crate::setm::shard`]): each worker sorts, merge-scans, and locally
+//! counts its own transactions under [`std::thread::scope`]; the
+//! per-shard count relations are then merged in one k-way pass
+//! ([`CountRelation::merge_sum_filter`]) to apply the global support
+//! threshold, and each shard filters its own `R'_k` against the merged
+//! `C_k`. Results — count relations and the `|R'_k|`/`|R_k|`/`|C_k|`
+//! trace series — are identical to the sequential run for every shard
+//! count; only wall-clock time changes.
 
 use crate::constraints::CompiledConstraints;
-use crate::data::{Dataset, Item, MiningParams, TransId};
+use crate::data::{Dataset, Item, TransId};
 use crate::pattern::{CountRelation, PatternRelation};
-use crate::setm::plan::{JoinStrategy, LiveStats, PhysicalPlan, PlanMode, Planner, PlannerConfig};
+use crate::setm::driver::{drive, sales_row, Figure4};
+use crate::setm::plan::{JoinStrategy, LiveStats, PhysicalPlan, Planner, PlannerConfig};
 use crate::setm::shard::{partition_by_weight, resolve_threads};
-use crate::setm::{IterationTrace, SetmOptions, SetmResult};
-use setm_obs::{NullSink, ObsEvent, ObsSink};
+use crate::setm::{ExecCtx, IterationTrace, SetmResult};
+use setm_obs::ObsEvent;
 use std::collections::HashSet;
+use std::convert::Infallible;
 use std::ops::Range;
 
-/// Mine `dataset` with default options.
-pub fn mine(dataset: &Dataset, params: &MiningParams) -> SetmResult {
-    mine_with(dataset, params, SetmOptions::default())
-}
-
-/// Mine `dataset`, exposing execution knobs, under the cost-based
-/// auto-planner.
-pub fn mine_with(dataset: &Dataset, params: &MiningParams, opts: SetmOptions) -> SetmResult {
-    mine_planned(dataset, params, opts, PlanMode::Auto)
-}
-
-/// Mine `dataset` under an explicit plan-selection mode. The in-memory
-/// execution honors the plan's `join`, `shards`, and `reuse_sort`
-/// dimensions; `sort_buffer_pages` is recorded in the trace but has no
-/// effect (there is no paged sorter here).
-pub fn mine_planned(
-    dataset: &Dataset,
-    params: &MiningParams,
-    opts: SetmOptions,
-    mode: PlanMode,
-) -> SetmResult {
-    mine_observed(dataset, params, opts, mode, &NullSink)
-}
-
-/// [`mine_planned`] with a telemetry sink: each iteration's trace row is
-/// reported the moment it is computed ([`ObsEvent::Iteration`]), and the
-/// two sort phases around the loop body emit start/end events. The sink
-/// only ever receives copies of already-computed numbers — the returned
-/// result is identical to the unobserved run.
-pub fn mine_observed(
-    dataset: &Dataset,
-    params: &MiningParams,
-    opts: SetmOptions,
-    mode: PlanMode,
-    sink: &dyn ObsSink,
-) -> SetmResult {
-    mine_constrained(dataset, params, opts, mode, sink, &CompiledConstraints::none())
-}
-
-/// [`mine_observed`] with compiled [`crate::MiningConstraints`] pushed
-/// into candidate generation (see `crate::constraints` — the dataset
-/// must already be in mining space when items are required). With empty
-/// constraints this *is* `mine_observed`: the unconstrained loops run
-/// untouched and every `candidates_pruned` is zero.
-pub fn mine_constrained(
-    dataset: &Dataset,
-    params: &MiningParams,
-    opts: SetmOptions,
-    mode: PlanMode,
-    sink: &dyn ObsSink,
-    cc: &CompiledConstraints,
-) -> SetmResult {
-    let n_txns = dataset.n_transactions();
-    let min_count = params.min_support.to_count(n_txns.max(1));
-    let max_len = params.max_pattern_len.unwrap_or(usize::MAX);
-
-    let mut counts: Vec<CountRelation> = Vec::new();
-    let mut trace: Vec<IterationTrace> = Vec::new();
-
-    // k = 1: sort R1 on item; C1 := generate counts from R1. Under
-    // constraints, C1 is anchored/exclusion-filtered but SALES itself is
-    // untouched (|R_1| below is the paper's unfiltered sales relation).
-    let (c1, pruned1) = count_items_constrained(dataset, min_count, cc);
-    trace.push(IterationTrace {
-        k: 1,
-        r_prime_tuples: dataset.n_rows(),
-        r_tuples: dataset.n_rows(),
-        r_kbytes: dataset.n_rows() as f64 * 8.0 / 1024.0,
-        c_len: c1.len() as u64,
-        page_accesses: 0,
-        estimated_io_ms: 0.0,
-        cache_hits: 0,
-        pool_steals: 0,
-        candidates_pruned: pruned1,
-        plan: None,
-    });
-    sink.on_event(&ObsEvent::Iteration(trace[0].snapshot()));
-    if !c1.is_empty() {
-        counts.push(c1);
-    }
-    // `<= 1` (not `== 1`): a cap of 0 stops after C1 exactly like the
-    // engine and SQL executions (the facade rejects 0 up front, but the
-    // low-level paths must still agree with each other).
-    if max_len <= 1 || n_txns == 0 {
-        return SetmResult { counts, trace, n_transactions: n_txns, min_support_count: min_count };
-    }
-
-    // The SALES side of every merge-scan join. With the `filter_r1`
-    // extension the join side drops infrequent items (results identical;
-    // see SetmOptions). Membership is one O(1) hash probe per item.
-    // Under constraints the keep set must come from the *unconstrained*
-    // frequent items — the anchored C1 holds anchor items only, but free
-    // extension positions still range over every frequent item.
-    let sales: Vec<(TransId, Vec<Item>)> = if opts.filter_r1 {
-        let keep: HashSet<Item> = if cc.is_empty() {
-            counts.first().map(|c1| c1.iter().map(|(p, _)| p[0]).collect()).unwrap_or_default()
-        } else {
-            count_items(dataset, min_count).iter().map(|(p, _)| p[0]).collect()
-        };
-        dataset
-            .transactions()
-            .map(|(tid, items)| {
-                let kept: Vec<Item> =
-                    items.iter().copied().filter(|it| keep.contains(it)).collect();
-                (tid, kept)
-            })
-            .filter(|(_, items)| !items.is_empty())
-            .collect()
-    } else {
-        dataset.transactions().map(|(tid, items)| (tid, items.to_vec())).collect()
+/// Mine `dataset` with the in-memory operators. The plan's `join`,
+/// `shards` and `reuse_sort` are honored per iteration;
+/// `sort_buffer_pages` is recorded in the trace but has no effect (there
+/// is no paged sorter here).
+pub fn run(dataset: &Dataset, ctx: &ExecCtx) -> SetmResult {
+    let exec = MemoryExec {
+        dataset,
+        ctx,
+        min_count: 0,
+        sales: Vec::new(),
+        r_prev: PatternRelation::new(1),
+        unsorted: None,
     };
-
-    let planner = Planner::new(
-        mode,
-        PlannerConfig::with_max_shards(resolve_threads(opts.threads).min(sales.len().max(1))),
-    );
-    run_planned(&sales, &planner, min_count, max_len, &mut counts, &mut trace, sink, cc);
-
-    SetmResult { counts, trace, n_transactions: n_txns, min_support_count: min_count }
+    drive(dataset, ctx, exec).unwrap_or_else(|never: Infallible| match never {})
 }
 
-/// The Figure 4 loop from k = 2, re-planned every iteration.
-///
-/// `R_{k-1}` is kept as one global relation; when an iteration's plan
-/// asks for `shards > 1` it is partitioned by `trans_id` range on the
-/// fly (phase 1: join + items-sort + local count per shard in parallel;
-/// merge; phase 2: filter per shard in parallel). Because group counts
-/// are algebraic and every shard holds whole transactions, the counts,
-/// the filtered `R_k`, and the trace series are identical to the
-/// one-shard run — `tests/plan_equivalence.rs` proves it for the full
-/// forced-plan matrix.
-#[allow(clippy::too_many_arguments)]
-fn run_planned(
-    sales: &[(TransId, Vec<Item>)],
-    planner: &Planner,
+/// The in-memory operators. `R_{k-1}` is kept as one global relation;
+/// an iteration whose plan asks for `shards > 1` partitions it by
+/// `trans_id` range on the fly (phase 1: join + items-sort + local count
+/// per shard in parallel; merge; phase 2: filter per shard in parallel).
+/// Because group counts are algebraic and every shard holds whole
+/// transactions, the counts, the filtered `R_k`, and the trace series
+/// are identical to the one-shard run — `tests/plan_equivalence.rs`
+/// proves it for the full forced-plan matrix.
+struct MemoryExec<'a> {
+    dataset: &'a Dataset,
+    ctx: &'a ExecCtx<'a>,
     min_count: u64,
-    max_len: usize,
-    counts: &mut Vec<CountRelation>,
-    trace: &mut Vec<IterationTrace>,
-    sink: &dyn ObsSink,
-    cc: &CompiledConstraints,
-) {
-    // R_1 doubles as the first "R_{k-1}": one tuple (tid, [item]) per row.
-    let n_rows: usize = sales.iter().map(|(_, items)| items.len()).sum();
-    let mut r_prev = PatternRelation::with_capacity(1, n_rows);
-    for (tid, items) in sales {
-        for &it in items {
-            r_prev.push(*tid, &[it]);
-        }
-    }
-    let max_txn_len = sales.iter().map(|(_, items)| items.len()).max().unwrap_or(0) as u64;
-    let mut c_prev_len = counts.first().map(|c| c.len()).unwrap_or(0) as u64;
-    // R_1 is built in transaction order, hence already tid-sorted.
-    let mut tid_sorted = true;
+    /// The `SALES` side of every extension join, one entry per
+    /// transaction in `trans_id` order.
+    sales: Vec<(TransId, Vec<Item>)>,
+    r_prev: PatternRelation,
+    /// The sort `R_{k-1}` still owes before the next join, with the
+    /// phase name and iteration its events carry.
+    unsorted: Option<(&'static str, usize)>,
+}
 
-    let mut k = 1usize;
-    loop {
-        k += 1;
-        let stats = LiveStats {
-            n_txns: sales.len() as u64,
-            sales_tuples: n_rows as u64,
-            max_txn_len,
-            r_prev_tuples: r_prev.n_tuples() as u64,
-            c_prev_len,
-        };
-        let plan = planner.plan_iteration(k, &stats);
+impl Figure4 for MemoryExec<'_> {
+    type Output = SetmResult;
+    type Error = Infallible;
 
-        // sort R_{k-1} on (trans_id, item_1, .., item_{k-1}) — unless the
-        // previous iteration's closing ORDER BY left it in that order and
-        // the plan reuses it.
-        if !tid_sorted {
-            sink.on_event(&ObsEvent::PhaseStart { name: "sort_r_prev", k });
-            r_prev.sort_by_tid_items();
-            sink.on_event(&ObsEvent::PhaseEnd { name: "sort_r_prev", k });
-        }
-
-        let (c_k, mut r_k, r_prime_tuples, pruned) = if plan.shards <= 1 {
-            iterate_one_shard(&r_prev, sales, plan.join, min_count, cc)
+    /// Under constraints `C_1` is anchored/exclusion-filtered, but
+    /// `SALES` itself is untouched (`|R_1|` is the paper's unfiltered
+    /// sales relation).
+    fn count_c1(&mut self, min_count: u64) -> Result<(CountRelation, IterationTrace), Infallible> {
+        self.min_count = min_count;
+        let cc = self.ctx.constraints;
+        let c1 = if cc.is_empty() {
+            count_items(self.dataset, min_count)
         } else {
-            iterate_sharded(&r_prev, sales, &plan, min_count, cc)
+            count_items_where(self.dataset, min_count, |it| cc.allows_at(0, it))
+        };
+        Ok((c1, sales_row(self.dataset)))
+    }
+
+    fn start_loop(&mut self, c1: Option<&CountRelation>) -> (Planner, LiveStats) {
+        // With the `filter_r1` extension the join side drops infrequent
+        // items (results identical; see `ExecCtx::filter_r1`).
+        // Membership is one O(1) hash probe per item. Under constraints
+        // the keep set must come from the *unconstrained* frequent items
+        // — the anchored C1 holds anchor items only, but free extension
+        // positions still range over every frequent item.
+        self.sales = if self.ctx.filter_r1 {
+            let keep: HashSet<Item> = if self.ctx.constraints.is_empty() {
+                c1.map(|c1| c1.iter().map(|(p, _)| p[0]).collect()).unwrap_or_default()
+            } else {
+                count_items(self.dataset, self.min_count).iter().map(|(p, _)| p[0]).collect()
+            };
+            self.dataset
+                .transactions()
+                .map(|(tid, items)| {
+                    let kept: Vec<Item> =
+                        items.iter().copied().filter(|it| keep.contains(it)).collect();
+                    (tid, kept)
+                })
+                .filter(|(_, items)| !items.is_empty())
+                .collect()
+        } else {
+            self.dataset.transactions().map(|(tid, items)| (tid, items.to_vec())).collect()
         };
 
-        trace.push(IterationTrace {
-            k,
+        // R_1 doubles as the first "R_{k-1}": one tuple (tid, [item]) per
+        // row, built in transaction order, hence already tid-sorted.
+        let n_rows: usize = self.sales.iter().map(|(_, items)| items.len()).sum();
+        let mut r1 = PatternRelation::with_capacity(1, n_rows);
+        for (tid, items) in &self.sales {
+            for &it in items {
+                r1.push(*tid, &[it]);
+            }
+        }
+        self.r_prev = r1;
+
+        let max_shards = resolve_threads(self.ctx.threads).min(self.sales.len().max(1));
+        let planner = Planner::new(self.ctx.plan_mode, PlannerConfig::with_max_shards(max_shards));
+        // The planner sees the join side as it is: after `filter_r1`.
+        let stats = LiveStats {
+            n_txns: self.sales.len() as u64,
+            sales_tuples: n_rows as u64,
+            max_txn_len: self.sales.iter().map(|(_, items)| items.len()).max().unwrap_or(0) as u64,
+            r_prev_tuples: n_rows as u64,
+            c_prev_len: 0,
+        };
+        (planner, stats)
+    }
+
+    fn iterate(
+        &mut self,
+        k: usize,
+        plan: &mut PhysicalPlan,
+        min_count: u64,
+    ) -> Result<(CountRelation, IterationTrace), Infallible> {
+        // sort R_{k-1} on (trans_id, item_1, .., item_{k-1}) unless it is
+        // still in that order. The previous iteration's closing ORDER BY
+        // is paid here too, so the last iteration never sorts a relation
+        // nothing reads; its events keep their name and iteration.
+        if let Some((name, at)) = self.unsorted.take() {
+            let sink = self.ctx.sink;
+            sink.on_event(&ObsEvent::PhaseStart { name, k: at });
+            self.r_prev.sort_by_tid_items();
+            sink.on_event(&ObsEvent::PhaseEnd { name, k: at });
+        }
+
+        let cc = self.ctx.constraints;
+        let (c_k, r_k, r_prime_tuples, pruned) = if plan.shards <= 1 {
+            iterate_one_shard(&self.r_prev, &self.sales, plan.join, min_count, cc)
+        } else {
+            iterate_sharded(&self.r_prev, &self.sales, plan, min_count, cc)
+        };
+        let row = IterationTrace {
             r_prime_tuples,
             r_tuples: r_k.n_tuples() as u64,
             r_kbytes: r_k.kbytes(),
-            c_len: c_k.len() as u64,
-            page_accesses: 0,
-            estimated_io_ms: 0.0,
-            cache_hits: 0,
-            pool_steals: 0,
             candidates_pruned: pruned,
-            plan: Some(plan),
-        });
-        sink.on_event(&ObsEvent::Iteration(trace[trace.len() - 1].snapshot()));
+            ..IterationTrace::default()
+        };
 
-        let done = r_k.is_empty() || k >= max_len;
-        c_prev_len = c_k.len() as u64;
-        if !c_k.is_empty() {
-            counts.push(c_k);
-        }
-        if done {
-            break;
-        }
-        // The paper's closing "ORDER BY trans_id, item_1, .., item_k":
-        // performed here when the plan maintains the standing order for
-        // the next loop-top sort to reuse, deferred to the next loop top
-        // otherwise (the literal Figure 4 replay). Either way the join
+        // The paper's closing "ORDER BY trans_id, item_1, .., item_k"
+        // belongs to this iteration when the plan maintains the standing
+        // order for the next loop top to reuse; otherwise the next loop
+        // top sorts (the literal Figure 4 replay). Either way the join
         // sees the same deterministic order.
-        if plan.reuse_sort {
-            sink.on_event(&ObsEvent::PhaseStart { name: "sort_r_k", k });
-            r_k.sort_by_tid_items();
-            sink.on_event(&ObsEvent::PhaseEnd { name: "sort_r_k", k });
-            tid_sorted = true;
-        } else {
-            tid_sorted = false;
-        }
-        r_prev = r_k;
+        self.unsorted =
+            Some(if plan.reuse_sort { ("sort_r_k", k) } else { ("sort_r_prev", k + 1) });
+        self.r_prev = r_k;
+        Ok((c_k, row))
+    }
+
+    fn finish(self, result: SetmResult) -> Result<SetmResult, Infallible> {
+        Ok(result)
     }
 }
 
@@ -361,8 +294,8 @@ fn upper_row_bound(r_prev: &PatternRelation, from: usize, boundary: TransId) -> 
 /// rows in order and emit extensions in ascending item order, so the
 /// output rows and their order are identical — the plan-equivalence
 /// contract. Returns the relation plus the number of candidate pairs
-/// rejected by constraint pushdown (always 0 unconstrained; the
-/// unconstrained loops run untouched).
+/// rejected by constraint pushdown (always 0 unconstrained, where the
+/// joins are instantiated with a predicate that is constant `true`).
 fn extend(
     r_prev: &PatternRelation,
     rows: Range<usize>,
@@ -370,64 +303,30 @@ fn extend(
     join: JoinStrategy,
     cc: &CompiledConstraints,
 ) -> (PatternRelation, u64) {
-    if cc.is_empty() {
-        let out = match join {
-            JoinStrategy::MergeScan => merge_scan_extend(r_prev, rows, sales),
-            JoinStrategy::NestedLoop => nested_loop_extend(r_prev, rows, sales),
-        };
-        (out, 0)
-    } else {
-        match join {
-            JoinStrategy::MergeScan => merge_scan_extend_constrained(r_prev, rows, sales, cc),
-            JoinStrategy::NestedLoop => nested_loop_extend_constrained(r_prev, rows, sales, cc),
-        }
+    let constrained = |pos: usize, it: Item| cc.allows_at(pos, it);
+    match (join, cc.is_empty()) {
+        (JoinStrategy::MergeScan, true) => merge_scan_where(r_prev, rows, sales, |_, _| true),
+        (JoinStrategy::MergeScan, false) => merge_scan_where(r_prev, rows, sales, constrained),
+        (JoinStrategy::NestedLoop, true) => nested_loop_where(r_prev, rows, sales, |_, _| true),
+        (JoinStrategy::NestedLoop, false) => nested_loop_where(r_prev, rows, sales, constrained),
     }
-}
-
-/// C1 under compiled constraints: like [`count_items`], but only items
-/// the constraints allow at pattern position 0 are counted — with an
-/// anchor that is the first anchor item alone, otherwise every
-/// non-excluded item. Returns the count relation plus the number of
-/// `SALES` rows whose item was rejected (the k = 1 `candidates_pruned`).
-pub fn count_items_constrained(
-    dataset: &Dataset,
-    min_count: u64,
-    cc: &CompiledConstraints,
-) -> (CountRelation, u64) {
-    if cc.is_empty() {
-        return (count_items(dataset, min_count), 0);
-    }
-    let mut items: Vec<Item> = Vec::with_capacity(dataset.items().len());
-    let mut pruned = 0u64;
-    for &it in dataset.items() {
-        if cc.allows_at(0, it) {
-            items.push(it);
-        } else {
-            pruned += 1;
-        }
-    }
-    items.sort_unstable();
-    let mut c1 = CountRelation::new(1);
-    let mut i = 0;
-    while i < items.len() {
-        let item = items[i];
-        let mut j = i + 1;
-        while j < items.len() && items[j] == item {
-            j += 1;
-        }
-        let count = (j - i) as u64;
-        if count >= min_count {
-            c1.push(&[item], count);
-        }
-        i = j;
-    }
-    (c1, pruned)
 }
 
 /// C1: per-item transaction counts with the minimum-support filter
 /// ("SELECT item, COUNT(*) FROM SALES GROUP BY item HAVING COUNT(*) >= s").
 pub fn count_items(dataset: &Dataset, min_count: u64) -> CountRelation {
-    let mut items: Vec<Item> = dataset.items().to_vec();
+    count_items_where(dataset, min_count, |_| true)
+}
+
+/// [`count_items`] over the `SALES` rows whose item `keep` admits — the
+/// constrained C1 counts only items allowed at pattern position 0.
+fn count_items_where(
+    dataset: &Dataset,
+    min_count: u64,
+    keep: impl Fn(Item) -> bool,
+) -> CountRelation {
+    let mut items: Vec<Item> = Vec::with_capacity(dataset.items().len());
+    items.extend(dataset.items().iter().copied().filter(|&it| keep(it)));
     items.sort_unstable();
     let mut c1 = CountRelation::new(1);
     let mut i = 0;
@@ -455,9 +354,21 @@ pub fn merge_scan_extend(
     rows: Range<usize>,
     sales: &[(TransId, Vec<Item>)],
 ) -> PatternRelation {
+    merge_scan_where(r_prev, rows, sales, |_, _| true).0
+}
+
+/// [`merge_scan_extend`] keeping only the pairs `allow` admits (see
+/// [`extend_tuple`]); also returns the number of rejected pairs.
+fn merge_scan_where(
+    r_prev: &PatternRelation,
+    rows: Range<usize>,
+    sales: &[(TransId, Vec<Item>)],
+    allow: impl Fn(usize, Item) -> bool,
+) -> (PatternRelation, u64) {
     let k_prev = r_prev.k();
     let mut out = PatternRelation::with_capacity(k_prev + 1, rows.len());
     let mut buf: Vec<Item> = vec![0; k_prev + 1];
+    let mut pruned = 0u64;
     let mut s = 0usize; // cursor into sales (sorted by tid)
     let mut row = rows.start;
     let n = rows.end;
@@ -485,86 +396,7 @@ pub fn merge_scan_extend(
             if t != tid {
                 break;
             }
-            let last = pattern[k_prev - 1];
-            // Items are sorted within a transaction: binary search for the
-            // first strictly greater than the pattern's last item.
-            let start = items.partition_point(|&it| it <= last);
-            for &ext in &items[start..] {
-                buf[..k_prev].copy_from_slice(pattern);
-                buf[k_prev] = ext;
-                out.push(tid, &buf);
-            }
-            row += 1;
-        }
-    }
-    out
-}
-
-/// [`merge_scan_extend`] with the compiled constraints evaluated on
-/// every candidate pair that passes the paper's `q.item > p.item_{k-1}`
-/// join predicate. Two checks exist:
-///
-/// * the *extension* item must be allowed at pattern position `k_prev`
-///   (the anchor item for anchored positions, any non-excluded item for
-///   free ones);
-/// * at k = 2 only, the *prefix* side needs the position-0 check too,
-///   because `R_1` is the paper's unfiltered sales relation — every
-///   later `R_{k-1}` was filtered against the anchored `C_{k-1}` and is
-///   clean by induction.
-///
-/// The second return value counts the rejected pairs (a rejected k = 2
-/// prefix charges all of its would-be extensions).
-fn merge_scan_extend_constrained(
-    r_prev: &PatternRelation,
-    rows: Range<usize>,
-    sales: &[(TransId, Vec<Item>)],
-    cc: &CompiledConstraints,
-) -> (PatternRelation, u64) {
-    let k_prev = r_prev.k();
-    let check_prefix = k_prev == 1;
-    let mut pruned = 0u64;
-    let mut out = PatternRelation::with_capacity(k_prev + 1, rows.len());
-    let mut buf: Vec<Item> = vec![0; k_prev + 1];
-    let mut s = 0usize;
-    let mut row = rows.start;
-    let n = rows.end;
-    while row < n {
-        let (tid, _) = r_prev.row(row);
-        while s < sales.len() && sales[s].0 < tid {
-            s += 1;
-        }
-        if s >= sales.len() {
-            break;
-        }
-        if sales[s].0 > tid {
-            while row < n && r_prev.row(row).0 == tid {
-                row += 1;
-            }
-            continue;
-        }
-        let items = &sales[s].1;
-        while row < n {
-            let (t, pattern) = r_prev.row(row);
-            if t != tid {
-                break;
-            }
-            let last = pattern[k_prev - 1];
-            let start = items.partition_point(|&it| it <= last);
-            if check_prefix && !cc.allows_at(0, pattern[0]) {
-                // The whole group of pairs through this prefix is pruned.
-                pruned += (items.len() - start) as u64;
-                row += 1;
-                continue;
-            }
-            for &ext in &items[start..] {
-                if cc.allows_at(k_prev, ext) {
-                    buf[..k_prev].copy_from_slice(pattern);
-                    buf[k_prev] = ext;
-                    out.push(tid, &buf);
-                } else {
-                    pruned += 1;
-                }
-            }
+            pruned += extend_tuple(tid, pattern, items, &allow, &mut buf, &mut out);
             row += 1;
         }
     }
@@ -576,15 +408,18 @@ fn merge_scan_extend_constrained(
 /// the `(trans_id, item)` index here — `binary_search_by_key` plays the
 /// B+-tree descent. Probing in `R_{k-1}` row order with extensions
 /// emitted in ascending item order produces the identical `R'_k` rows,
-/// in the identical order, as [`merge_scan_extend`].
-fn nested_loop_extend(
+/// in the identical order — and the identical pruned count — as
+/// [`merge_scan_where`].
+fn nested_loop_where(
     r_prev: &PatternRelation,
     rows: Range<usize>,
     sales: &[(TransId, Vec<Item>)],
-) -> PatternRelation {
+    allow: impl Fn(usize, Item) -> bool,
+) -> (PatternRelation, u64) {
     let k_prev = r_prev.k();
     let mut out = PatternRelation::with_capacity(k_prev + 1, rows.len());
     let mut buf: Vec<Item> = vec![0; k_prev + 1];
+    let mut pruned = 0u64;
     let mut cached: Option<(TransId, usize)> = None;
     for row in rows {
         let (tid, pattern) = r_prev.row(row);
@@ -606,67 +441,45 @@ fn nested_loop_extend(
             },
         };
         let Some(s) = hit else { continue };
-        let items = &sales[s].1;
-        let last = pattern[k_prev - 1];
-        let start = items.partition_point(|&it| it <= last);
-        for &ext in &items[start..] {
-            buf[..k_prev].copy_from_slice(pattern);
-            buf[k_prev] = ext;
-            out.push(tid, &buf);
-        }
-    }
-    out
-}
-
-/// [`nested_loop_extend`] under compiled constraints — same checks and
-/// pruned-pair accounting as [`merge_scan_extend_constrained`], so both
-/// access paths report identical `candidates_pruned`.
-fn nested_loop_extend_constrained(
-    r_prev: &PatternRelation,
-    rows: Range<usize>,
-    sales: &[(TransId, Vec<Item>)],
-    cc: &CompiledConstraints,
-) -> (PatternRelation, u64) {
-    let k_prev = r_prev.k();
-    let check_prefix = k_prev == 1;
-    let mut pruned = 0u64;
-    let mut out = PatternRelation::with_capacity(k_prev + 1, rows.len());
-    let mut buf: Vec<Item> = vec![0; k_prev + 1];
-    let mut cached: Option<(TransId, usize)> = None;
-    for row in rows {
-        let (tid, pattern) = r_prev.row(row);
-        let hit = match cached {
-            Some((t, s)) if t == tid => Some(s),
-            _ => match sales.binary_search_by_key(&tid, |(t, _)| *t) {
-                Ok(s) => {
-                    cached = Some((tid, s));
-                    Some(s)
-                }
-                Err(_) => {
-                    cached = None;
-                    None
-                }
-            },
-        };
-        let Some(s) = hit else { continue };
-        let items = &sales[s].1;
-        let last = pattern[k_prev - 1];
-        let start = items.partition_point(|&it| it <= last);
-        if check_prefix && !cc.allows_at(0, pattern[0]) {
-            pruned += (items.len() - start) as u64;
-            continue;
-        }
-        for &ext in &items[start..] {
-            if cc.allows_at(k_prev, ext) {
-                buf[..k_prev].copy_from_slice(pattern);
-                buf[k_prev] = ext;
-                out.push(tid, &buf);
-            } else {
-                pruned += 1;
-            }
-        }
+        pruned += extend_tuple(tid, pattern, &sales[s].1, &allow, &mut buf, &mut out);
     }
     (out, pruned)
+}
+
+/// Extend one `R_{k-1}` tuple by every item of its transaction greater
+/// than its last item (items are sorted within a transaction: one binary
+/// search finds the first) that `allow` admits at the new position.
+/// Returns the candidate pairs `allow` rejected.
+///
+/// At k = 2 the *prefix* needs the position-0 check too, because `R_1`
+/// is the paper's unfiltered sales relation — every later `R_{k-1}` was
+/// filtered against the anchored `C_{k-1}` and is clean by induction. A
+/// rejected prefix charges all of its would-be extensions.
+#[inline(always)]
+fn extend_tuple(
+    tid: TransId,
+    pattern: &[Item],
+    items: &[Item],
+    allow: &impl Fn(usize, Item) -> bool,
+    buf: &mut [Item],
+    out: &mut PatternRelation,
+) -> u64 {
+    let k_prev = pattern.len();
+    let start = items.partition_point(|&it| it <= pattern[k_prev - 1]);
+    if k_prev == 1 && !allow(0, pattern[0]) {
+        return (items.len() - start) as u64;
+    }
+    let mut pruned = 0u64;
+    for &ext in &items[start..] {
+        if allow(k_prev, ext) {
+            buf[..k_prev].copy_from_slice(pattern);
+            buf[k_prev] = ext;
+            out.push(tid, buf);
+        } else {
+            pruned += 1;
+        }
+    }
+    pruned
 }
 
 /// One pass over the items-sorted `R'_k`: emit `C_k` groups meeting the
@@ -752,6 +565,19 @@ mod tests {
     use super::*;
     use crate::data::{MinSupport, MiningParams};
 
+    fn mine(d: &Dataset, params: &MiningParams) -> SetmResult {
+        run(d, &ExecCtx::new(*params))
+    }
+
+    fn mine_threads(
+        d: &Dataset,
+        params: &MiningParams,
+        threads: usize,
+        filter_r1: bool,
+    ) -> SetmResult {
+        run(d, &ExecCtx { threads, filter_r1, ..ExecCtx::new(*params) })
+    }
+
     fn tiny() -> Dataset {
         // 4 transactions over items {1,2,3,4}.
         Dataset::from_transactions([
@@ -807,8 +633,8 @@ mod tests {
     fn filter_r1_option_does_not_change_results() {
         let d = tiny();
         let params = MiningParams::new(MinSupport::Count(2), 0.5);
-        let base = mine_with(&d, &params, SetmOptions { filter_r1: false, ..Default::default() });
-        let filt = mine_with(&d, &params, SetmOptions { filter_r1: true, ..Default::default() });
+        let base = mine_threads(&d, &params, 0, false);
+        let filt = mine_threads(&d, &params, 0, true);
         assert_eq!(base.frequent_itemsets(), filt.frequent_itemsets());
         // But the unfiltered run generates at least as many R'_2 tuples.
         assert!(base.trace[1].r_prime_tuples >= filt.trace[1].r_prime_tuples);
@@ -824,8 +650,7 @@ mod tests {
     }
 
     /// The facade rejects a cap of 0, but the low-level executions must
-    /// still agree with each other if handed one: stop after C1, exactly
-    /// like the engine and SQL loops' `max_len > 1` guard.
+    /// still agree with each other if handed one: stop after C1.
     #[test]
     fn max_pattern_len_zero_stops_after_c1_like_other_executions() {
         let d = tiny();
@@ -833,15 +658,11 @@ mod tests {
         let r = mine(&d, &params);
         assert_eq!(r.max_pattern_len(), 1, "C1 only, no k=2 iteration");
         assert_eq!(r.trace.last().unwrap().k, 1);
-        let eng = crate::setm::engine::mine_with(
-            &d,
-            &params,
-            crate::setm::engine::EngineConfig::default(),
-            1,
-        )
-        .unwrap();
+        let ctx = ExecCtx { threads: 1, ..ExecCtx::new(params) };
+        let eng = crate::setm::engine::run(&d, &ctx, crate::setm::engine::EngineConfig::default())
+            .unwrap();
         assert_eq!(eng.result.frequent_itemsets(), r.frequent_itemsets());
-        let sql = crate::setm::sql::mine_with(&d, &params, 1).unwrap();
+        let sql = crate::setm::sql::run(&d, &ctx).unwrap();
         assert_eq!(sql.result.frequent_itemsets(), r.frequent_itemsets());
     }
 
@@ -913,9 +734,9 @@ mod tests {
             .collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Fraction(0.1), 0.5);
-        let seq = mine_with(&d, &params, SetmOptions { threads: 1, ..Default::default() });
+        let seq = mine_threads(&d, &params, 1, false);
         for threads in [2usize, 3, 4, 7, 16, 64] {
-            let par = mine_with(&d, &params, SetmOptions { threads, ..Default::default() });
+            let par = mine_threads(&d, &params, threads, false);
             assert_eq!(par.frequent_itemsets(), seq.frequent_itemsets(), "threads={threads}");
             assert_eq!(par.trace.len(), seq.trace.len(), "threads={threads}");
             for (a, b) in seq.trace.iter().zip(par.trace.iter()) {
@@ -934,8 +755,8 @@ mod tests {
             (0..30u32).map(|t| (t + 1, vec![1, 2, 3 + t % 9])).collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Count(4), 0.5);
-        let seq = mine_with(&d, &params, SetmOptions { filter_r1: true, threads: 1 });
-        let par = mine_with(&d, &params, SetmOptions { filter_r1: true, threads: 4 });
+        let seq = mine_threads(&d, &params, 1, true);
+        let par = mine_threads(&d, &params, 4, true);
         assert_eq!(par.frequent_itemsets(), seq.frequent_itemsets());
     }
 
@@ -955,17 +776,15 @@ mod tests {
             .collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Count(5), 0.5);
-        let auto = mine_with(&d, &params, SetmOptions::default());
+        let auto = mine(&d, &params);
         for join in [JoinStrategy::MergeScan, JoinStrategy::NestedLoop] {
             for reuse_sort in [true, false] {
                 for shards in [1usize, 3] {
                     let plan =
                         PhysicalPlan { join, reuse_sort, shards, sort_buffer_pages: 256 };
-                    let forced = mine_planned(
+                    let forced = run(
                         &d,
-                        &params,
-                        SetmOptions::default(),
-                        PlanMode::Forced(plan),
+                        &ExecCtx { plan_mode: PlanMode::Forced(plan), ..ExecCtx::new(params) },
                     );
                     assert_eq!(
                         forced.frequent_itemsets(),
@@ -995,8 +814,8 @@ mod tests {
     fn more_shards_than_transactions_is_safe() {
         let d = tiny();
         let params = MiningParams::new(MinSupport::Count(2), 0.5);
-        let seq = mine_with(&d, &params, SetmOptions { threads: 1, ..Default::default() });
-        let par = mine_with(&d, &params, SetmOptions { threads: 32, ..Default::default() });
+        let seq = mine_threads(&d, &params, 1, false);
+        let par = mine_threads(&d, &params, 32, false);
         assert_eq!(par.frequent_itemsets(), seq.frequent_itemsets());
     }
 

@@ -25,39 +25,76 @@
 //!   through `setm-sql` (the paper's headline claim: mining as SQL).
 //!
 //! All three produce identical `C_k` relations; cross-checked in tests.
-//! They are driven uniformly through the [`crate::Miner`] builder
-//! (`Miner::new(params).backend(..).run(dataset)`); the per-module
-//! `mine_with` functions remain as the low-level execution layer.
+//! They share one Figure 4 loop (`driver`): each backend supplies only
+//! its operators — `C_1`, one iteration under a planned
+//! [`plan::PhysicalPlan`], and its closing report — and exposes exactly
+//! one `run(dataset, &ExecCtx)` entry point. The [`crate::Miner`]
+//! builder (`Miner::new(params).backend(..).run(dataset)`) builds the
+//! [`ExecCtx`] and is the supported way in.
 
+mod driver;
 pub mod engine;
 pub mod memory;
 pub mod plan;
 pub mod shard;
 pub mod sql;
 
+use crate::constraints::CompiledConstraints;
+use crate::data::MiningParams;
 use crate::itemvec::ItemVec;
 use crate::pattern::CountRelation;
-use plan::PhysicalPlan;
+use plan::{PhysicalPlan, PlanMode};
+use setm_obs::{NullSink, ObsSink};
 
-/// Execution knobs that do not change the mined result.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SetmOptions {
-    /// Extension (not in the paper): restrict the `SALES` side of the
-    /// merge-scan join to items that are themselves frequent (members of
-    /// `C_1`). The paper's Figure 4 joins against the *unfiltered* `R_1`
-    /// every iteration; infrequent extensions die in the next `C_k` filter
-    /// anyway, so results are identical but `R'_k` shrinks. Benchmarked as
-    /// an ablation.
-    pub filter_r1: bool,
-    /// Worker threads for the sharded parallel execution (see
-    /// [`shard`]). `0` (the default) resolves to the machine's available
-    /// parallelism; `1` forces the paper's sequential loop. Results are
-    /// identical for every value; only wall-clock time changes.
+/// Everything a backend's `run` needs besides the dataset: the mining
+/// parameters and the execution knobs, none of which changes the mined
+/// result. [`crate::Miner::run`] builds one from its builder chain.
+#[derive(Clone, Copy)]
+pub struct ExecCtx<'a> {
+    /// Minimum support, confidence (unused while mining) and the
+    /// optional pattern-length cap.
+    pub params: MiningParams,
+    /// Worker threads for the sharded executions (see [`shard`]): `0`
+    /// resolves to the machine's available parallelism, `1` forces the
+    /// paper's sequential loop.
     pub threads: usize,
+    /// Extension (not in the paper, memory backend only): restrict the
+    /// `SALES` side of the merge-scan join to items that are themselves
+    /// frequent. The paper joins against the *unfiltered* `R_1`;
+    /// infrequent extensions die at the next `C_k` filter anyway, so
+    /// results are identical but `R'_k` shrinks (ablation E8).
+    pub filter_r1: bool,
+    /// How each iteration's [`PhysicalPlan`] is chosen.
+    pub plan_mode: PlanMode,
+    /// Telemetry side channel: receives a copy of every trace row as it
+    /// is computed, plus phase and note events.
+    pub sink: &'a dyn ObsSink,
+    /// Mining constraints compiled into mining space (see
+    /// `crate::constraints`), pushed into candidate generation.
+    pub constraints: &'a CompiledConstraints,
+}
+
+static UNCONSTRAINED: CompiledConstraints = CompiledConstraints::none();
+
+impl ExecCtx<'static> {
+    /// `params` with the defaults [`crate::Miner`] uses: available
+    /// parallelism, no `filter_r1`, the cost-based planner, no sink and
+    /// no constraints. Override fields with struct-update syntax:
+    /// `ExecCtx { threads: 1, ..ExecCtx::new(params) }`.
+    pub fn new(params: MiningParams) -> Self {
+        ExecCtx {
+            params,
+            threads: 0,
+            filter_r1: false,
+            plan_mode: PlanMode::Auto,
+            sink: &NullSink,
+            constraints: &UNCONSTRAINED,
+        }
+    }
 }
 
 /// Per-iteration measurements — the raw series behind Figures 5 and 6.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IterationTrace {
     /// Pattern length `k` (iteration number in the figures).
     pub k: usize,
@@ -172,7 +209,7 @@ impl SetmResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::{Dataset, MinSupport, MiningParams};
+    use crate::data::{Dataset, MinSupport};
 
     #[test]
     fn result_accessors() {
@@ -220,7 +257,7 @@ mod tests {
             (3, [1, 3].as_slice()),
         ]);
         let params = MiningParams::new(MinSupport::Count(2), 0.5);
-        let r = memory::mine(&d, &params);
+        let r = memory::run(&d, &ExecCtx::new(params));
         assert_eq!(r.c(1).unwrap().get(&[1]), Some(3));
         assert_eq!(r.c(2).unwrap().get(&[1, 2]), Some(2));
     }

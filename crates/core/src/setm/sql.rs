@@ -14,8 +14,8 @@
 //!
 //! # Partitioned parallel execution
 //!
-//! With more than one worker thread (the `threads` argument of
-//! [`mine_with`] / `Miner::threads`) the statement pipeline itself is
+//! With more than one worker thread ([`ExecCtx::threads`] /
+//! `Miner::threads`) the statement pipeline itself is
 //! sharded over contiguous `trans_id` partitions — the same
 //! weight-balanced partitioner as the in-memory and paged-engine
 //! executions ([`crate::setm::shard`]). Each shard is its own
@@ -52,59 +52,13 @@
 //! ever observable afterwards.
 
 use crate::constraints::CompiledConstraints;
-use crate::data::{Dataset, MiningParams};
+use crate::data::Dataset;
 use crate::pattern::CountRelation;
-use crate::setm::plan::{
-    JoinStrategy, LiveStats, PhysicalPlan, PlanMode, Planner, PlannerConfig,
-};
+use crate::setm::driver::{drive, sales_row, Figure4};
+use crate::setm::plan::{JoinStrategy, LiveStats, PhysicalPlan, Planner, PlannerConfig};
 use crate::setm::shard::{partition_by_weight, resolve_threads};
-use crate::setm::{IterationTrace, SetmResult};
-use setm_obs::{NullSink, ObsEvent, ObsSink};
+use crate::setm::{ExecCtx, IterationTrace, SetmResult};
 use setm_sql::{ExecOptions, ExecOutcome, JoinPreference, Params, Result, ShardPool, SqlEngine};
-
-/// The probe index a nested-loop plan creates on each session's `SALES`
-/// (the Section 3.2 transaction index). Recorded in the statement trace
-/// the first time a session builds it.
-const SALES_INDEX: &str = "SALES_TID_ITEM";
-
-/// Build the `(trans_id, item)` index on a session's `SALES` if it does
-/// not exist yet, recording the DDL in the statement trace; then aim the
-/// planner preference at it for the next statement.
-fn prepare_nested_loop(
-    engine: &mut SqlEngine,
-    statements: &mut Vec<String>,
-    sort_buffer_pages: usize,
-) -> Result<()> {
-    if engine.database().find_index_on("SALES", &[0]).is_none() {
-        engine.database_mut().create_index(SALES_INDEX, "SALES", &["trans_id", "item"])?;
-        statements.push(format!("CREATE INDEX {SALES_INDEX} ON SALES (trans_id, item)"));
-    }
-    engine.set_options(ExecOptions { join: JoinPreference::IndexNestedLoop, sort_buffer_pages });
-    Ok(())
-}
-
-/// Per-iteration session options for everything except a nested-loop
-/// extension join: explicit sort-merge (what the default preference
-/// resolves to on an index-free session) at the plan's sort workspace.
-fn merge_options(sort_buffer_pages: usize) -> ExecOptions {
-    ExecOptions { join: JoinPreference::SortMerge, sort_buffer_pages }
-}
-
-/// The fixed dataset statistics plus the live `|R_{k-1}|` / `|C_{k-1}|`
-/// observations from the previous round of statements.
-fn live_stats(dataset: &Dataset, max_txn_len: u64, r_prev: u64, c_prev: u64) -> LiveStats {
-    LiveStats {
-        n_txns: dataset.n_transactions(),
-        sales_tuples: dataset.n_rows(),
-        max_txn_len,
-        r_prev_tuples: r_prev,
-        c_prev_len: c_prev,
-    }
-}
-
-fn max_txn_len(dataset: &Dataset) -> u64 {
-    dataset.transactions().map(|(_, items)| items.len() as u64).max().unwrap_or(0)
-}
 
 /// Outcome of a SQL-driven run.
 #[derive(Debug)]
@@ -114,6 +68,402 @@ pub struct SqlRun {
     /// round lists the per-shard statements in shard order, then the
     /// coordinator's merge statements.
     pub statements: Vec<String>,
+}
+
+/// Mine `dataset` by generating and executing the paper's SQL.
+///
+/// Mined results and the trace series are identical for every thread
+/// count and plan. The session topology (one connection per shard) is
+/// fixed when the first statement runs, so the plan's shard dimension is
+/// taken from the k = 2 plan and held for the whole script; recorded
+/// per-iteration plans carry the actual session count. The join strategy
+/// and sort workspace are honored per iteration
+/// ([`SqlEngine::set_options`], plus a `CREATE INDEX` on `SALES` the
+/// first time a session runs a nested-loop extension join). `reuse_sort`
+/// is recorded but has no SQL-level realization: the Section 4.1 script
+/// never re-sorts `R_{k-1}` — the closing `ORDER BY` is its only
+/// ordering step.
+///
+/// Compiled constraints become `IN` / `NOT IN` conjuncts on the Section
+/// 4.1 statements themselves, so the set-oriented plan prunes candidates
+/// inside the relational engine. With constraints active, each extension
+/// round also runs an *audit* statement — the paper's unconstrained join
+/// into a scratch table — whose insert count, minus the constrained
+/// insert count, is the iteration's `candidates_pruned`. Unconstrained
+/// runs execute the paper's statement text byte-identically. The
+/// constraints are in *mining space*: with a require-constraint the
+/// [`crate::Miner`] facade hands this function the remapped dataset, so
+/// the anchor literals in the emitted SQL are the remapped item ids
+/// `0, 1, ..`.
+///
+/// Sink events fire on the coordinator thread only (never inside a
+/// shard session), so the emitted SQL is identical to an unobserved
+/// run's. This is the low-level execution behind [`crate::Backend::Sql`];
+/// prefer the [`crate::Miner`] facade, which validates inputs and
+/// returns the shared [`crate::MiningOutcome`] / [`crate::SetmError`]
+/// types.
+pub fn run(dataset: &Dataset, ctx: &ExecCtx) -> Result<SqlRun> {
+    run_with_prepare(dataset, ctx, &|_, _| {})
+}
+
+/// Test seam: [`run`] with `prepare` applied to every session that
+/// holds `SALES`, right after the load — shard `i` of a partitioned
+/// run, session 0 of the single-session script (e.g. to inject pager
+/// faults into one shard). Not part of the stable API.
+#[doc(hidden)]
+pub fn run_with_prepare(
+    dataset: &Dataset,
+    ctx: &ExecCtx,
+    prepare: &(dyn Fn(usize, &mut SqlEngine) + Sync),
+) -> Result<SqlRun> {
+    let n_txns = dataset.n_transactions();
+    let max_shards = resolve_threads(ctx.threads).min(n_txns.max(1) as usize);
+    let planner = Planner::new(ctx.plan_mode, PlannerConfig::with_max_shards(max_shards));
+    let max_txn_len = dataset.transactions().map(|(_, items)| items.len() as u64).max();
+    let stats = LiveStats {
+        n_txns,
+        sales_tuples: dataset.n_rows(),
+        max_txn_len: max_txn_len.unwrap_or(0),
+        r_prev_tuples: dataset.n_rows(),
+        c_prev_len: 1,
+    };
+    // Loading SALES(trans_id, item) is data preparation, not SQL mining,
+    // so it uses the bulk API.
+    let load = |engine: &mut SqlEngine, rows: &[[u32; 2]]| {
+        engine.load_table("SALES", &["trans_id", "item"], rows.iter().map(|r| r.as_slice()))
+    };
+    let layout = planner.plan_iteration(2, &stats).shards;
+    let sessions = if layout <= 1 {
+        let mut engine = SqlEngine::new();
+        load(&mut engine, &dataset.sales_rows())?;
+        prepare(0, &mut engine);
+        Sessions::One(engine)
+    } else {
+        // Contiguous trans_id shards, weight-balanced by row count —
+        // the same partitioner as the in-memory and paged-engine
+        // executions; each shard session loads only its slice.
+        let weights: Vec<usize> = dataset.transactions().map(|(_, items)| items.len()).collect();
+        let ranges = partition_by_weight(&weights, layout);
+        let mut pool = ShardPool::new(ranges.len());
+        let mut txns = dataset.transactions();
+        for (i, range) in ranges.iter().enumerate() {
+            let mut rows: Vec<[u32; 2]> = Vec::new();
+            for (tid, items) in txns.by_ref().take(range.len()) {
+                rows.extend(items.iter().map(|&it| [tid, it]));
+            }
+            load(pool.shard_mut(i), &rows)?;
+            prepare(i, pool.shard_mut(i));
+        }
+        Sessions::Partitioned { pool, merge: SqlEngine::new() }
+    };
+    let exec = SqlExec {
+        dataset,
+        cc: ctx.constraints,
+        planner,
+        stats,
+        sessions,
+        bind: Params::new(),
+        statements: Vec::new(),
+    };
+    drive(dataset, ctx, exec)
+}
+
+/// Where the script runs.
+enum Sessions {
+    /// The paper's sequential Section 4.1 script on one session. Its
+    /// statement text is byte-identical to the pre-parallel releases'
+    /// whenever the planner keeps the merge-scan join; a nested-loop
+    /// iteration adds only its `CREATE INDEX` DDL.
+    One(SqlEngine),
+    /// The partitioned script: one session per `trans_id` shard running
+    /// the same statements on its own tables (`…_SHARD_<i>`, count
+    /// partials `C<k>_PART_<i>` without `HAVING`), plus the coordinator
+    /// session that `SUM`-merges the partials under the global threshold
+    /// and holds the authoritative `C_k`, broadcast back for the
+    /// per-shard filter. See the module docs.
+    Partitioned { pool: ShardPool, merge: SqlEngine },
+}
+
+/// The SQL operators: the statement pipeline on [`Sessions`], every
+/// statement recorded in order.
+struct SqlExec<'a> {
+    dataset: &'a Dataset,
+    cc: &'a CompiledConstraints,
+    planner: Planner,
+    stats: LiveStats,
+    sessions: Sessions,
+    /// `:minsupport`, bound once `C_1` is counted.
+    bind: Params,
+    statements: Vec<String>,
+}
+
+impl Figure4 for SqlExec<'_> {
+    type Output = SqlRun;
+    type Error = setm_sql::SqlError;
+
+    /// C1 — the Section 3.1 query, verbatim (a constrained run inserts
+    /// its anchor/exclusion predicate as a WHERE clause).
+    fn count_c1(&mut self, min_count: u64) -> Result<(CountRelation, IterationTrace)> {
+        self.bind = Params::new().with("minsupport", min_count);
+        let (cc, bind) = (self.cc, &self.bind);
+        let c1 = match &mut self.sessions {
+            Sessions::One(engine) => {
+                let mut s = Script { engine, stmts: &mut self.statements, bind, shard: None };
+                s.count(1, "r1.item", &format!("SALES r1{}", c1_where(cc)))?;
+                read_counts(engine, 1)?
+            }
+            Sessions::Partitioned { pool, merge } => {
+                // Shard-local item counts, *without* HAVING: the support
+                // threshold is global, so it applies only at the
+                // coordinator merge.
+                let shard_stmts = pool.run(|i, engine| {
+                    let mut stmts = Vec::new();
+                    let mut s = Script { engine, stmts: &mut stmts, bind, shard: Some(i) };
+                    s.count(1, "r1.item", &format!("SALES r1{}", c1_where(cc)))?;
+                    Ok(stmts)
+                })?;
+                self.statements.extend(shard_stmts.into_iter().flatten());
+                merge_shard_counts(merge, pool, &mut self.statements, bind, 1)?
+            }
+        };
+        Ok((c1, sales_row(self.dataset)))
+    }
+
+    fn start_loop(&mut self, _c1: Option<&CountRelation>) -> (Planner, LiveStats) {
+        (self.planner, self.stats)
+    }
+
+    fn iterate(
+        &mut self,
+        k: usize,
+        plan: &mut PhysicalPlan,
+        _min_count: u64,
+    ) -> Result<(CountRelation, IterationTrace)> {
+        let (cc, bind) = (self.cc, &self.bind);
+        let (c_k, r_prime_tuples, audit_tuples, r_tuples) = match &mut self.sessions {
+            Sessions::One(engine) => {
+                // One session: the shard dimension is pinned to it.
+                plan.shards = 1;
+                let mut s = Script { engine, stmts: &mut self.statements, bind, shard: None };
+                let (r_prime, audit) = extend_and_count(&mut s, k, plan, cc)?;
+                let c_k = read_counts(s.engine, k)?;
+                let r = filter_and_order(&mut s, k)?;
+                (c_k, r_prime, audit, r)
+            }
+            Sessions::Partitioned { pool, merge } => {
+                // The session topology is fixed at connect time: the
+                // shard dimension is pinned to the pool.
+                plan.shards = pool.len();
+                let plan = *plan;
+
+                // Phase 1 (parallel): extension join + local counts per
+                // shard, via the plan's access path.
+                let phase1 = pool.run(|i, engine| {
+                    let mut stmts = Vec::new();
+                    let mut s = Script { engine, stmts: &mut stmts, bind, shard: Some(i) };
+                    let (r_prime, audit) = extend_and_count(&mut s, k, &plan, cc)?;
+                    Ok((stmts, r_prime, audit))
+                })?;
+                let r_prime: u64 = phase1.iter().map(|(_, n, _)| n).sum();
+                let audit: u64 = phase1.iter().map(|(_, _, a)| a).sum();
+                self.statements.extend(phase1.into_iter().flat_map(|(stmts, _, _)| stmts));
+
+                // Global C_k: union the partials, SUM-merge under the
+                // threshold on the coordinator.
+                let c_k = merge_shard_counts(merge, pool, &mut self.statements, bind, k)?;
+
+                // Phase 2 (parallel): broadcast C_k (data movement, like
+                // the SALES load), filter + ORDER BY per shard, drop R'_k.
+                let c_rows = c_k.to_engine_rows();
+                let bcast_cols = count_table_cols(k);
+                let phase2 = pool.run(|i, engine| {
+                    let mut stmts = Vec::new();
+                    engine.set_options(merge_options(plan.sort_buffer_pages));
+                    let col_refs: Vec<&str> = bcast_cols.iter().map(String::as_str).collect();
+                    engine.load_table(
+                        &format!("C{k}"),
+                        &col_refs,
+                        c_rows.iter().map(|r| r.as_slice()),
+                    )?;
+                    let mut s = Script { engine, stmts: &mut stmts, bind, shard: Some(i) };
+                    let r = filter_and_order(&mut s, k)?;
+                    Ok((stmts, r))
+                })?;
+                let r: u64 = phase2.iter().map(|(_, n)| n).sum();
+                self.statements.extend(phase2.into_iter().flat_map(|(stmts, _)| stmts));
+                (c_k, r_prime, audit, r)
+            }
+        };
+        let row = IterationTrace {
+            r_prime_tuples,
+            r_tuples,
+            r_kbytes: r_tuples as f64 * ((k + 1) * 4) as f64 / 1024.0,
+            candidates_pruned: if cc.is_empty() {
+                0
+            } else {
+                audit_tuples.saturating_sub(r_prime_tuples)
+            },
+            ..IterationTrace::default()
+        };
+        Ok((c_k, row))
+    }
+
+    fn finish(self, result: SetmResult) -> Result<SqlRun> {
+        Ok(SqlRun { result, statements: self.statements })
+    }
+}
+
+/// One session's statement stream: the session, the log its statements
+/// are recorded in, and which part of `SALES` the session holds.
+struct Script<'a> {
+    engine: &'a mut SqlEngine,
+    stmts: &'a mut Vec<String>,
+    bind: &'a Params,
+    /// `Some(i)` on shard `i` of the partitioned script; `None` on a
+    /// session that sees every transaction (the paper's single session,
+    /// and the coordinator).
+    shard: Option<usize>,
+}
+
+impl Script<'_> {
+    /// Execute one statement, recording its text (recorded even on
+    /// failure, so a trace always shows the statement that broke).
+    fn exec(&mut self, sql: String) -> Result<ExecOutcome> {
+        let outcome = self.engine.execute(&sql, self.bind);
+        self.stmts.push(sql);
+        outcome
+    }
+
+    /// Execute an `INSERT`, returning the rows it inserted.
+    fn insert(&mut self, sql: String) -> Result<u64> {
+        Ok(match self.exec(sql)? {
+            ExecOutcome::Inserted(n) => n,
+            _ => 0,
+        })
+    }
+
+    /// Suffix of the session's own pattern tables (`R'_k`, `R_k`, the
+    /// audit): empty, or `_SHARD_<i>`.
+    fn sfx(&self) -> String {
+        self.shard.map_or(String::new(), |i| format!("_SHARD_{i}"))
+    }
+
+    /// `C_k` — group `from` on `cols` and count (Sections 3.1 / 4.1) —
+    /// into the global `C<k>` under the support threshold, or, on shard
+    /// `i`, into the threshold-free partial `C<k>_PART_<i>`: support is
+    /// global, so only the coordinator's `SUM` merge can apply it.
+    fn count(&mut self, k: usize, cols: &str, from: &str) -> Result<()> {
+        let (table, having) = match self.shard {
+            None => (format!("C{k}"), "\nHAVING COUNT(*) >= :minsupport"),
+            Some(i) => (format!("C{k}_PART_{i}"), ""),
+        };
+        self.exec(format!("CREATE TABLE {table} ({})", count_col_defs(k)))?;
+        self.exec(format!(
+            "INSERT INTO {table}\n\
+             SELECT {cols}, COUNT(*)\n\
+             FROM {from}\n\
+             GROUP BY {cols}{having}"
+        ))?;
+        Ok(())
+    }
+}
+
+/// The first half of one session's iteration `k` (Section 4.1): `R'_k`
+/// by the extension join under the plan's access path, the constrained
+/// run's audit, and the `C_k` count. Returns `(|R'_k|, audited pairs)`.
+fn extend_and_count(
+    s: &mut Script,
+    k: usize,
+    plan: &PhysicalPlan,
+    cc: &CompiledConstraints,
+) -> Result<(u64, u64)> {
+    let sfx = s.sfx();
+    s.engine.set_options(merge_options(plan.sort_buffer_pages));
+    let rk_prime = format!("R{k}_PRIME{sfx}");
+    s.exec(format!("CREATE TABLE {rk_prime} ({})", pattern_col_defs(k)))?;
+    if plan.join == JoinStrategy::NestedLoop {
+        prepare_nested_loop(s, plan.sort_buffer_pages)?;
+    }
+    let r_prime = s.insert(extension_sql(&rk_prime, k, &sfx, &extension_conjuncts(k, cc)))?;
+    s.engine.set_options(merge_options(plan.sort_buffer_pages));
+
+    // Audit (constrained runs only): the paper's unconstrained join into
+    // a scratch table; its insert count minus the constrained one is the
+    // pruned-candidate count.
+    let audited = if cc.is_empty() {
+        0
+    } else {
+        let audit = format!("R{k}_AUDIT{sfx}");
+        s.exec(format!("CREATE TABLE {audit} ({})", pattern_col_defs(k)))?;
+        let n = s.insert(extension_sql(&audit, k, &sfx, ""))?;
+        s.exec(format!("DROP TABLE {audit}"))?;
+        n
+    };
+
+    s.count(k, &item_cols("p", k), &format!("{rk_prime} p"))?;
+    Ok((r_prime, audited))
+}
+
+/// The second half of one session's iteration `k`: `R_k` — retain the
+/// supported tuples of `R'_k` (joined with this session's `C<k>`),
+/// sorted for the next pass (Section 4.1's final `INSERT` with
+/// `ORDER BY`) — then discard `R'_k` as the paper does. Returns `|R_k|`.
+fn filter_and_order(s: &mut Script, k: usize) -> Result<u64> {
+    let sfx = s.sfx();
+    let items = item_cols("p", k);
+    let join_cond: String =
+        (1..=k).map(|i| format!("p.item_{i} = q.item_{i}")).collect::<Vec<_>>().join(" AND ");
+    s.exec(format!("CREATE TABLE R{k}{sfx} ({})", pattern_col_defs(k)))?;
+    let r = s.insert(format!(
+        "INSERT INTO R{k}{sfx}\n\
+         SELECT p.trans_id, {items}\n\
+         FROM R{k}_PRIME{sfx} p, C{k} q\n\
+         WHERE {join_cond}\n\
+         ORDER BY p.trans_id, {items}"
+    ))?;
+    s.exec(format!("DROP TABLE R{k}_PRIME{sfx}"))?;
+    Ok(r)
+}
+
+/// The Section 4.1 extension join into `target`, from the session's
+/// `R_{k-1}` (`SALES` itself at k = 2) and `SALES`, plus `extra`
+/// constraint conjuncts.
+fn extension_sql(target: &str, k: usize, sfx: &str, extra: &str) -> String {
+    let (prev, prev_items, prev_last) = if k == 2 {
+        ("SALES".to_string(), "p.item".to_string(), "p.item".to_string())
+    } else {
+        (format!("R{}{sfx}", k - 1), item_cols("p", k - 1), format!("p.item_{}", k - 1))
+    };
+    format!(
+        "INSERT INTO {target}\n\
+         SELECT p.trans_id, {prev_items}, q.item\n\
+         FROM {prev} p, SALES q\n\
+         WHERE q.trans_id = p.trans_id AND q.item > {prev_last}{extra}"
+    )
+}
+
+/// The probe index a nested-loop plan creates on each session's `SALES`
+/// (the Section 3.2 transaction index). Recorded in the statement trace
+/// the first time a session builds it.
+const SALES_INDEX: &str = "SALES_TID_ITEM";
+
+/// Build the `(trans_id, item)` index on a session's `SALES` if it does
+/// not exist yet, recording the DDL in the statement trace; then aim the
+/// planner preference at it for the next statement.
+fn prepare_nested_loop(s: &mut Script, sort_buffer_pages: usize) -> Result<()> {
+    if s.engine.database().find_index_on("SALES", &[0]).is_none() {
+        s.engine.database_mut().create_index(SALES_INDEX, "SALES", &["trans_id", "item"])?;
+        s.stmts.push(format!("CREATE INDEX {SALES_INDEX} ON SALES (trans_id, item)"));
+    }
+    s.engine.set_options(ExecOptions { join: JoinPreference::IndexNestedLoop, sort_buffer_pages });
+    Ok(())
+}
+
+/// Per-iteration session options for everything except a nested-loop
+/// extension join: explicit sort-merge (what the default preference
+/// resolves to on an index-free session) at the plan's sort workspace.
+fn merge_options(sort_buffer_pages: usize) -> ExecOptions {
+    ExecOptions { join: JoinPreference::SortMerge, sort_buffer_pages }
 }
 
 /// Column list `item_1, .., item_k` with an optional qualifier.
@@ -130,115 +480,24 @@ fn item_cols(qualifier: &str, k: usize) -> String {
         .join(", ")
 }
 
+/// Column definitions of a pattern table: `trans_id INT, item_1 INT, ..`.
+fn pattern_col_defs(k: usize) -> String {
+    format!("trans_id INT, {}", item_col_defs(k))
+}
+
+/// Column definitions of a count table: `item_1 INT, .., cnt INT`.
+fn count_col_defs(k: usize) -> String {
+    format!("{}, cnt INT", item_col_defs(k))
+}
+
+fn item_col_defs(k: usize) -> String {
+    (1..=k).map(|i| format!("item_{i} INT")).collect::<Vec<_>>().join(", ")
+}
+
 /// Column names `item_1, .., item_k, cnt` (the shape of every count
 /// table), owned, for bulk loads.
 fn count_table_cols(k: usize) -> Vec<String> {
     (1..=k).map(|i| format!("item_{i}")).chain(std::iter::once("cnt".to_string())).collect()
-}
-
-/// Mine `dataset` by generating and executing the paper's SQL.
-///
-/// `threads` = 0 resolves to the machine's available parallelism, 1
-/// forces the paper's sequential plan; mined results and the trace
-/// series are identical for every value. This is the low-level
-/// execution function behind [`crate::Backend::Sql`]; prefer driving it
-/// through the [`crate::Miner`] facade, which validates inputs and
-/// returns the shared [`crate::MiningOutcome`] / [`crate::SetmError`]
-/// types.
-pub fn mine_with(dataset: &Dataset, params: &MiningParams, threads: usize) -> Result<SqlRun> {
-    mine_planned(dataset, params, threads, PlanMode::Auto)
-}
-
-/// [`mine_with`] with an explicit plan-selection mode.
-///
-/// The session topology (one connection per shard) is fixed when the
-/// first statement runs, so the plan's shard dimension is taken from the
-/// k = 2 plan and held for the whole script; recorded per-iteration plans
-/// carry the actual session count. The join strategy and sort workspace
-/// are honored per iteration ([`SqlEngine::set_options`], plus a
-/// `CREATE INDEX` on `SALES` the first time a session runs a nested-loop
-/// extension join). `reuse_sort` is recorded but has no SQL-level
-/// realization: the Section 4.1 script never re-sorts `R_{k-1}` — the
-/// closing `ORDER BY` is its only ordering step.
-pub fn mine_planned(
-    dataset: &Dataset,
-    params: &MiningParams,
-    threads: usize,
-    mode: PlanMode,
-) -> Result<SqlRun> {
-    mine_observed(dataset, params, threads, mode, &NullSink)
-}
-
-/// [`mine_planned`] with a telemetry sink: each iteration's trace row is
-/// reported the moment it is computed ([`ObsEvent::Iteration`]). Events
-/// fire on the coordinator thread only (never inside a shard session),
-/// carrying copies of already-computed numbers — the emitted SQL and the
-/// mined result are identical to the unobserved run.
-pub fn mine_observed(
-    dataset: &Dataset,
-    params: &MiningParams,
-    threads: usize,
-    mode: PlanMode,
-    sink: &dyn ObsSink,
-) -> Result<SqlRun> {
-    mine_constrained(dataset, params, threads, mode, sink, &CompiledConstraints::none())
-}
-
-/// [`mine_observed`] with compiled [`crate::MiningConstraints`]: the
-/// anchor/exclusion checks become `IN` / `NOT IN` conjuncts on the
-/// Section 4.1 statements themselves, so the set-oriented plan prunes
-/// candidates inside the relational engine rather than in client code.
-/// With constraints active, each extension round also runs an *audit*
-/// statement — the paper's unconstrained join into a scratch table —
-/// whose insert count, minus the constrained insert count, is the
-/// iteration's `candidates_pruned`. Unconstrained runs execute the
-/// paper's statement text byte-identically (no audit tables, no extra
-/// conjuncts).
-///
-/// `cc` is in *mining space*: with a require-constraint the caller (the
-/// [`crate::Miner`] facade) hands this function the remapped dataset, so
-/// the anchor literals in the emitted SQL are the remapped item ids
-/// `0, 1, ..`.
-pub fn mine_constrained(
-    dataset: &Dataset,
-    params: &MiningParams,
-    threads: usize,
-    mode: PlanMode,
-    sink: &dyn ObsSink,
-    cc: &CompiledConstraints,
-) -> Result<SqlRun> {
-    let max_shards = resolve_threads(threads).min(dataset.n_transactions().max(1) as usize);
-    let planner = Planner::new(mode, PlannerConfig::with_max_shards(max_shards));
-    let boot = live_stats(dataset, max_txn_len(dataset), dataset.n_rows(), 1);
-    let layout = planner.plan_iteration(2, &boot).shards;
-    if layout <= 1 {
-        mine_sequential(dataset, params, &planner, sink, cc)
-    } else {
-        mine_sharded(dataset, params, layout, &planner, &|_, _| {}, sink, cc)
-    }
-}
-
-/// Test seam: run the partitioned plan with a per-shard preparation hook
-/// (e.g. injecting pager faults into one shard). Not part of the stable
-/// API.
-#[doc(hidden)]
-pub fn mine_sharded_with_prepare(
-    dataset: &Dataset,
-    params: &MiningParams,
-    threads: usize,
-    prepare: &(dyn Fn(usize, &mut SqlEngine) + Sync),
-) -> Result<SqlRun> {
-    let threads = resolve_threads(threads).min(dataset.n_transactions().max(1) as usize);
-    let planner = Planner::new(PlanMode::Auto, PlannerConfig::with_max_shards(threads.max(1)));
-    mine_sharded(
-        dataset,
-        params,
-        threads.max(1),
-        &planner,
-        prepare,
-        &NullSink,
-        &CompiledConstraints::none(),
-    )
 }
 
 /// The compiled-constraint conjunct for one pattern position, as SQL
@@ -293,496 +552,6 @@ fn c1_where(cc: &CompiledConstraints) -> String {
     }
 }
 
-/// The k = 1 pruned count: `SALES` rows whose item fails the compiled
-/// anchor/exclusion check. Computed from the dataset (the relational
-/// side never materializes the rejected rows), with the same accounting
-/// as the in-memory and paged-engine executions.
-fn k1_pruned(dataset: &Dataset, cc: &CompiledConstraints) -> u64 {
-    if cc.is_empty() {
-        return 0;
-    }
-    dataset.items().iter().filter(|&&it| !cc.allows_at(0, it)).count() as u64
-}
-
-/// The paper's sequential Section 4.1 plan on a single session. The
-/// emitted statement text is byte-identical to the pre-parallel
-/// releases' whenever the planner keeps the merge-scan join —
-/// `threads(1)` *is* the paper's plan; a nested-loop iteration adds only
-/// its `CREATE INDEX` DDL to the trace.
-fn mine_sequential(
-    dataset: &Dataset,
-    params: &MiningParams,
-    planner: &Planner,
-    sink: &dyn ObsSink,
-    cc: &CompiledConstraints,
-) -> Result<SqlRun> {
-    let mut engine = SqlEngine::new();
-    let mut statements: Vec<String> = Vec::new();
-    let n_txns = dataset.n_transactions();
-    let min_count = params.min_support.to_count(n_txns.max(1));
-    let max_len = params.max_pattern_len.unwrap_or(usize::MAX);
-    let bind = Params::new().with("minsupport", min_count);
-
-    // Load SALES(trans_id, item). Loading is data preparation, not SQL
-    // mining, so it uses the bulk API.
-    let rows = dataset.sales_rows();
-    engine.load_table("SALES", &["trans_id", "item"], rows.iter().map(|r| r.as_slice()))?;
-
-    let run = |engine: &mut SqlEngine, statements: &mut Vec<String>, sql: String| {
-        let outcome = engine.execute(&sql, &bind);
-        statements.push(sql);
-        outcome
-    };
-
-    let mut counts: Vec<CountRelation> = Vec::new();
-    let mut trace: Vec<IterationTrace> = Vec::new();
-
-    // C1 — the Section 3.1 query, verbatim (a constrained run inserts
-    // its anchor/exclusion predicate as a WHERE clause).
-    run(&mut engine, &mut statements, "CREATE TABLE C1 (item_1 INT, cnt INT)".into())?;
-    run(
-        &mut engine,
-        &mut statements,
-        format!(
-            "INSERT INTO C1\n\
-             SELECT r1.item, COUNT(*)\n\
-             FROM SALES r1{c1_where}\n\
-             GROUP BY r1.item\n\
-             HAVING COUNT(*) >= :minsupport",
-            c1_where = c1_where(cc),
-        ),
-    )?;
-    let c1 = read_counts(&mut engine, 1)?;
-    trace.push(iteration_one_trace(dataset, &c1, k1_pruned(dataset, cc)));
-    sink.on_event(&ObsEvent::Iteration(trace[0].snapshot()));
-    let mut c_prev_len = c1.len() as u64;
-    let mut prev_rows = dataset.n_rows();
-    let longest = max_txn_len(dataset);
-    if !c1.is_empty() {
-        counts.push(c1);
-    }
-
-    let mut k = 1usize;
-    if max_len > 1 && n_txns > 0 {
-        loop {
-            k += 1;
-            let stats = live_stats(dataset, longest, prev_rows, c_prev_len);
-            let plan = {
-                // One session: the shard dimension is pinned to it.
-                let mut p = planner.plan_iteration(k, &stats);
-                p.shards = 1;
-                p
-            };
-            engine.set_options(merge_options(plan.sort_buffer_pages));
-            let prev = if k == 2 { "SALES".to_string() } else { format!("R{}", k - 1) };
-            let prev_items = if k == 2 { "p.item".to_string() } else { item_cols("p", k - 1) };
-            let prev_last =
-                if k == 2 { "p.item".to_string() } else { format!("p.item_{}", k - 1) };
-
-            // R'_k — the Section 4.1 extension join, via the plan's
-            // access path.
-            let rk_prime = format!("R{k}_PRIME");
-            let cols: String =
-                (1..=k).map(|i| format!("item_{i} INT")).collect::<Vec<_>>().join(", ");
-            run(
-                &mut engine,
-                &mut statements,
-                format!("CREATE TABLE {rk_prime} (trans_id INT, {cols})"),
-            )?;
-            if plan.join == JoinStrategy::NestedLoop {
-                prepare_nested_loop(&mut engine, &mut statements, plan.sort_buffer_pages)?;
-            }
-            let inserted = run(
-                &mut engine,
-                &mut statements,
-                format!(
-                    "INSERT INTO {rk_prime}\n\
-                     SELECT p.trans_id, {prev_items}, q.item\n\
-                     FROM {prev} p, SALES q\n\
-                     WHERE q.trans_id = p.trans_id AND q.item > {prev_last}{extra}",
-                    extra = extension_conjuncts(k, cc),
-                ),
-            )?;
-            engine.set_options(merge_options(plan.sort_buffer_pages));
-            let r_prime_tuples = match inserted {
-                ExecOutcome::Inserted(n) => n,
-                _ => 0,
-            };
-
-            // Audit (constrained runs only): the paper's unconstrained
-            // join into a scratch table; its insert count minus the
-            // constrained one is this iteration's pruned-candidate count.
-            let pruned = if cc.is_empty() {
-                0
-            } else {
-                let audit = format!("R{k}_AUDIT");
-                run(
-                    &mut engine,
-                    &mut statements,
-                    format!("CREATE TABLE {audit} (trans_id INT, {cols})"),
-                )?;
-                let audited = run(
-                    &mut engine,
-                    &mut statements,
-                    format!(
-                        "INSERT INTO {audit}\n\
-                         SELECT p.trans_id, {prev_items}, q.item\n\
-                         FROM {prev} p, SALES q\n\
-                         WHERE q.trans_id = p.trans_id AND q.item > {prev_last}"
-                    ),
-                )?;
-                run(&mut engine, &mut statements, format!("DROP TABLE {audit}"))?;
-                match audited {
-                    ExecOutcome::Inserted(n) => n.saturating_sub(r_prime_tuples),
-                    _ => 0,
-                }
-            };
-
-            // C_k — group, count, apply minimum support (Section 4.1).
-            run(&mut engine, &mut statements, format!("CREATE TABLE C{k} ({cols}, cnt INT)"))?;
-            run(
-                &mut engine,
-                &mut statements,
-                format!(
-                    "INSERT INTO C{k}\n\
-                     SELECT {items}, COUNT(*)\n\
-                     FROM {rk_prime} p\n\
-                     GROUP BY {items}\n\
-                     HAVING COUNT(*) >= :minsupport",
-                    items = item_cols("p", k),
-                ),
-            )?;
-            let c_k = read_counts(&mut engine, k)?;
-
-            // R_k — retain supported tuples, sorted for the next pass
-            // (Section 4.1's final INSERT with ORDER BY).
-            run(
-                &mut engine,
-                &mut statements,
-                format!("CREATE TABLE R{k} (trans_id INT, {cols})"),
-            )?;
-            let join_cond: String = (1..=k)
-                .map(|i| format!("p.item_{i} = q.item_{i}"))
-                .collect::<Vec<_>>()
-                .join(" AND ");
-            let inserted = run(
-                &mut engine,
-                &mut statements,
-                format!(
-                    "INSERT INTO R{k}\n\
-                     SELECT p.trans_id, {items}\n\
-                     FROM {rk_prime} p, C{k} q\n\
-                     WHERE {join_cond}\n\
-                     ORDER BY p.trans_id, {items}",
-                    items = item_cols("p", k),
-                ),
-            )?;
-            let r_tuples = match inserted {
-                ExecOutcome::Inserted(n) => n,
-                _ => 0,
-            };
-
-            // R'_k is consumed; the paper discards it.
-            run(&mut engine, &mut statements, format!("DROP TABLE {rk_prime}"))?;
-
-            trace.push(iteration_trace(k, r_prime_tuples, r_tuples, c_k.len() as u64, pruned, plan));
-            sink.on_event(&ObsEvent::Iteration(trace[trace.len() - 1].snapshot()));
-            prev_rows = r_tuples;
-            c_prev_len = c_k.len() as u64;
-
-            let done = r_tuples == 0 || k >= max_len;
-            if !c_k.is_empty() {
-                counts.push(c_k);
-            }
-            if done {
-                break;
-            }
-        }
-    }
-
-    Ok(SqlRun {
-        result: SetmResult { counts, trace, n_transactions: n_txns, min_support_count: min_count },
-        statements,
-    })
-}
-
-/// The partitioned Section 4.1 plan: per-shard statement pipelines run
-/// concurrently (one session per shard), shard-local counts merged by a
-/// coordinator `GROUP BY … HAVING SUM(cnt) >= :minsupport`, the merged
-/// `C_k` broadcast back for the per-shard filter. See the module docs.
-#[allow(clippy::too_many_arguments)]
-fn mine_sharded(
-    dataset: &Dataset,
-    params: &MiningParams,
-    threads: usize,
-    planner: &Planner,
-    prepare: &(dyn Fn(usize, &mut SqlEngine) + Sync),
-    sink: &dyn ObsSink,
-    cc: &CompiledConstraints,
-) -> Result<SqlRun> {
-    let n_txns = dataset.n_transactions();
-    let min_count = params.min_support.to_count(n_txns.max(1));
-    let max_len = params.max_pattern_len.unwrap_or(usize::MAX);
-    let bind = Params::new().with("minsupport", min_count);
-
-    // Contiguous trans_id shards, weight-balanced by row count — the
-    // same partitioner as the in-memory and paged-engine executions.
-    let weights: Vec<usize> = dataset.transactions().map(|(_, items)| items.len()).collect();
-    let ranges = partition_by_weight(&weights, threads);
-    let mut pool = ShardPool::new(ranges.len());
-    {
-        let mut txns = dataset.transactions();
-        for (i, range) in ranges.iter().enumerate() {
-            let mut rows: Vec<[u32; 2]> = Vec::new();
-            for (tid, items) in txns.by_ref().take(range.len()) {
-                rows.extend(items.iter().map(|&it| [tid, it]));
-            }
-            // Each shard's slice of SALES — data preparation, like the
-            // sequential load.
-            pool.shard_mut(i).load_table(
-                "SALES",
-                &["trans_id", "item"],
-                rows.iter().map(|r| r.as_slice()),
-            )?;
-            prepare(i, pool.shard_mut(i));
-        }
-    }
-    // The coordinator session: merges shard-local count partials and
-    // holds the authoritative C_k tables.
-    let mut merge = SqlEngine::new();
-    let mut statements: Vec<String> = Vec::new();
-
-    let mut counts: Vec<CountRelation> = Vec::new();
-    let mut trace: Vec<IterationTrace> = Vec::new();
-
-    // k = 1 — shard-local item counts, *without* HAVING: the support
-    // threshold is global, so it applies only at the coordinator merge.
-    let shard_stmts = pool.run(|i, engine| {
-        let mut stmts = Vec::new();
-        exec_on(engine, &mut stmts, &bind, format!("CREATE TABLE C1_PART_{i} (item_1 INT, cnt INT)"))?;
-        exec_on(
-            engine,
-            &mut stmts,
-            &bind,
-            format!(
-                "INSERT INTO C1_PART_{i}\n\
-                 SELECT r1.item, COUNT(*)\n\
-                 FROM SALES r1{c1_where}\n\
-                 GROUP BY r1.item",
-                c1_where = c1_where(cc),
-            ),
-        )?;
-        Ok(stmts)
-    })?;
-    statements.extend(shard_stmts.into_iter().flatten());
-    let c1 = merge_shard_counts(&mut merge, &mut pool, &mut statements, &bind, 1)?;
-    trace.push(iteration_one_trace(dataset, &c1, k1_pruned(dataset, cc)));
-    sink.on_event(&ObsEvent::Iteration(trace[0].snapshot()));
-    let mut c_prev_len = c1.len() as u64;
-    let mut prev_rows = dataset.n_rows();
-    let longest = max_txn_len(dataset);
-    if !c1.is_empty() {
-        counts.push(c1);
-    }
-
-    let mut k = 1usize;
-    if max_len > 1 && n_txns > 0 {
-        loop {
-            k += 1;
-            let stats = live_stats(dataset, longest, prev_rows, c_prev_len);
-            let plan = {
-                // The session topology is fixed at connect time: the
-                // shard dimension is pinned to the pool.
-                let mut p = planner.plan_iteration(k, &stats);
-                p.shards = pool.len();
-                p
-            };
-            let cols: String =
-                (1..=k).map(|i| format!("item_{i} INT")).collect::<Vec<_>>().join(", ");
-            let items = item_cols("p", k);
-
-            // Phase 1 (parallel): extension join + local counts per
-            // shard, via the plan's access path.
-            let phase1 = pool.run(|i, engine| {
-                let mut stmts = Vec::new();
-                engine.set_options(merge_options(plan.sort_buffer_pages));
-                let prev = if k == 2 {
-                    "SALES".to_string()
-                } else {
-                    format!("R{}_SHARD_{i}", k - 1)
-                };
-                let prev_items =
-                    if k == 2 { "p.item".to_string() } else { item_cols("p", k - 1) };
-                let prev_last =
-                    if k == 2 { "p.item".to_string() } else { format!("p.item_{}", k - 1) };
-                let rk_prime = format!("R{k}_PRIME_SHARD_{i}");
-                exec_on(
-                    engine,
-                    &mut stmts,
-                    &bind,
-                    format!("CREATE TABLE {rk_prime} (trans_id INT, {cols})"),
-                )?;
-                if plan.join == JoinStrategy::NestedLoop {
-                    prepare_nested_loop(engine, &mut stmts, plan.sort_buffer_pages)?;
-                }
-                let inserted = exec_on(
-                    engine,
-                    &mut stmts,
-                    &bind,
-                    format!(
-                        "INSERT INTO {rk_prime}\n\
-                         SELECT p.trans_id, {prev_items}, q.item\n\
-                         FROM {prev} p, SALES q\n\
-                         WHERE q.trans_id = p.trans_id AND q.item > {prev_last}{extra}",
-                        extra = extension_conjuncts(k, cc),
-                    ),
-                )?;
-                engine.set_options(merge_options(plan.sort_buffer_pages));
-                let r_prime_rows = match inserted {
-                    ExecOutcome::Inserted(n) => n,
-                    _ => 0,
-                };
-                // Shard-local audit (constrained runs only): count the
-                // paper's unconstrained join; the coordinator sums the
-                // differences into the iteration's pruned count.
-                let audit_rows = if cc.is_empty() {
-                    0
-                } else {
-                    let audit = format!("R{k}_AUDIT_SHARD_{i}");
-                    exec_on(
-                        engine,
-                        &mut stmts,
-                        &bind,
-                        format!("CREATE TABLE {audit} (trans_id INT, {cols})"),
-                    )?;
-                    let audited = exec_on(
-                        engine,
-                        &mut stmts,
-                        &bind,
-                        format!(
-                            "INSERT INTO {audit}\n\
-                             SELECT p.trans_id, {prev_items}, q.item\n\
-                             FROM {prev} p, SALES q\n\
-                             WHERE q.trans_id = p.trans_id AND q.item > {prev_last}"
-                        ),
-                    )?;
-                    exec_on(engine, &mut stmts, &bind, format!("DROP TABLE {audit}"))?;
-                    match audited {
-                        ExecOutcome::Inserted(n) => n,
-                        _ => 0,
-                    }
-                };
-                exec_on(
-                    engine,
-                    &mut stmts,
-                    &bind,
-                    format!("CREATE TABLE C{k}_PART_{i} ({cols}, cnt INT)"),
-                )?;
-                exec_on(
-                    engine,
-                    &mut stmts,
-                    &bind,
-                    format!(
-                        "INSERT INTO C{k}_PART_{i}\n\
-                         SELECT {items}, COUNT(*)\n\
-                         FROM {rk_prime} p\n\
-                         GROUP BY {items}"
-                    ),
-                )?;
-                Ok((stmts, r_prime_rows, audit_rows))
-            })?;
-            let r_prime_tuples: u64 = phase1.iter().map(|(_, n, _)| n).sum();
-            let audit_tuples: u64 = phase1.iter().map(|(_, _, a)| a).sum();
-            let pruned =
-                if cc.is_empty() { 0 } else { audit_tuples.saturating_sub(r_prime_tuples) };
-            statements.extend(phase1.into_iter().flat_map(|(stmts, _, _)| stmts));
-
-            // Global C_k: union the partials, SUM-merge under the
-            // threshold on the coordinator.
-            let c_k = merge_shard_counts(&mut merge, &mut pool, &mut statements, &bind, k)?;
-
-            // Phase 2 (parallel): broadcast C_k (data movement, like the
-            // SALES load), filter + ORDER BY per shard, drop R'_k.
-            let c_rows = c_k.to_engine_rows();
-            let bcast_cols = count_table_cols(k);
-            let phase2 = pool.run(|i, engine| {
-                let mut stmts = Vec::new();
-                engine.set_options(merge_options(plan.sort_buffer_pages));
-                let col_refs: Vec<&str> = bcast_cols.iter().map(String::as_str).collect();
-                engine.load_table(
-                    &format!("C{k}"),
-                    &col_refs,
-                    c_rows.iter().map(|r| r.as_slice()),
-                )?;
-                let rk_prime = format!("R{k}_PRIME_SHARD_{i}");
-                let r_k = format!("R{k}_SHARD_{i}");
-                exec_on(
-                    engine,
-                    &mut stmts,
-                    &bind,
-                    format!("CREATE TABLE {r_k} (trans_id INT, {cols})"),
-                )?;
-                let join_cond: String = (1..=k)
-                    .map(|c| format!("p.item_{c} = q.item_{c}"))
-                    .collect::<Vec<_>>()
-                    .join(" AND ");
-                let inserted = exec_on(
-                    engine,
-                    &mut stmts,
-                    &bind,
-                    format!(
-                        "INSERT INTO {r_k}\n\
-                         SELECT p.trans_id, {items}\n\
-                         FROM {rk_prime} p, C{k} q\n\
-                         WHERE {join_cond}\n\
-                         ORDER BY p.trans_id, {items}"
-                    ),
-                )?;
-                let r_rows = match inserted {
-                    ExecOutcome::Inserted(n) => n,
-                    _ => 0,
-                };
-                // R'_k is consumed; the paper discards it.
-                exec_on(engine, &mut stmts, &bind, format!("DROP TABLE {rk_prime}"))?;
-                Ok((stmts, r_rows))
-            })?;
-            let r_tuples: u64 = phase2.iter().map(|(_, n)| n).sum();
-            statements.extend(phase2.into_iter().flat_map(|(stmts, _)| stmts));
-
-            trace.push(iteration_trace(k, r_prime_tuples, r_tuples, c_k.len() as u64, pruned, plan));
-            sink.on_event(&ObsEvent::Iteration(trace[trace.len() - 1].snapshot()));
-            prev_rows = r_tuples;
-            c_prev_len = c_k.len() as u64;
-
-            let done = r_tuples == 0 || k >= max_len;
-            if !c_k.is_empty() {
-                counts.push(c_k);
-            }
-            if done {
-                break;
-            }
-        }
-    }
-
-    Ok(SqlRun {
-        result: SetmResult { counts, trace, n_transactions: n_txns, min_support_count: min_count },
-        statements,
-    })
-}
-
-/// Execute one statement on a session, recording its text (recorded even
-/// on failure, so a trace always shows the statement that broke).
-fn exec_on(
-    engine: &mut SqlEngine,
-    statements: &mut Vec<String>,
-    bind: &Params,
-    sql: String,
-) -> Result<ExecOutcome> {
-    let outcome = engine.execute(&sql, bind);
-    statements.push(sql);
-    outcome
-}
-
 /// The coordinator half of a partitioned `GROUP BY`: ship every shard's
 /// `C{k}_PART_{i}` rows into one `C{k}_PARTS` table (the `UNION ALL`,
 /// done as bulk data movement), then apply the global threshold with one
@@ -815,69 +584,18 @@ fn merge_shard_counts(
     let col_refs: Vec<&str> = col_names.iter().map(String::as_str).collect();
     merge.load_table(&format!("C{k}_PARTS"), &col_refs, union_rows.iter().map(|r| r.as_slice()))?;
 
-    let cols: String = (1..=k).map(|i| format!("item_{i} INT")).collect::<Vec<_>>().join(", ");
     let items = item_cols("p", k);
-    exec_on(merge, statements, bind, format!("CREATE TABLE C{k} ({cols}, cnt INT)"))?;
-    exec_on(
-        merge,
-        statements,
-        bind,
-        format!(
-            "INSERT INTO C{k}\n\
-             SELECT {items}, SUM(p.cnt)\n\
-             FROM C{k}_PARTS p\n\
-             GROUP BY {items}\n\
-             HAVING SUM(p.cnt) >= :minsupport"
-        ),
-    )?;
-    exec_on(merge, statements, bind, format!("DROP TABLE C{k}_PARTS"))?;
+    let mut s = Script { engine: merge, stmts: statements, bind, shard: None };
+    s.exec(format!("CREATE TABLE C{k} ({})", count_col_defs(k)))?;
+    s.exec(format!(
+        "INSERT INTO C{k}\n\
+         SELECT {items}, SUM(p.cnt)\n\
+         FROM C{k}_PARTS p\n\
+         GROUP BY {items}\n\
+         HAVING SUM(p.cnt) >= :minsupport"
+    ))?;
+    s.exec(format!("DROP TABLE C{k}_PARTS"))?;
     read_counts(merge, k)
-}
-
-/// The k = 1 trace row (identical fields on the sequential and
-/// partitioned plans: the paper never filters the sales relation).
-fn iteration_one_trace(
-    dataset: &Dataset,
-    c1: &CountRelation,
-    candidates_pruned: u64,
-) -> IterationTrace {
-    IterationTrace {
-        k: 1,
-        r_prime_tuples: dataset.n_rows(),
-        r_tuples: dataset.n_rows(),
-        r_kbytes: dataset.n_rows() as f64 * 8.0 / 1024.0,
-        c_len: c1.len() as u64,
-        page_accesses: 0,
-        estimated_io_ms: 0.0,
-        cache_hits: 0,
-        pool_steals: 0,
-        candidates_pruned,
-        plan: None,
-    }
-}
-
-/// A k >= 2 trace row (the SQL execution does not meter page accesses).
-fn iteration_trace(
-    k: usize,
-    r_prime_tuples: u64,
-    r_tuples: u64,
-    c_len: u64,
-    candidates_pruned: u64,
-    plan: PhysicalPlan,
-) -> IterationTrace {
-    IterationTrace {
-        k,
-        r_prime_tuples,
-        r_tuples,
-        r_kbytes: r_tuples as f64 * ((k + 1) * 4) as f64 / 1024.0,
-        c_len,
-        page_accesses: 0,
-        estimated_io_ms: 0.0,
-        cache_hits: 0,
-        pool_steals: 0,
-        candidates_pruned,
-        plan: Some(plan),
-    }
 }
 
 /// Read `C_k` back into memory. Its rows are already in lexicographic
@@ -899,12 +617,16 @@ mod tests {
     use crate::example;
     use crate::setm::memory;
 
+    fn mine_on(d: &Dataset, params: &MiningParams, threads: usize) -> Result<SqlRun> {
+        run(d, &ExecCtx { threads, ..ExecCtx::new(*params) })
+    }
+
     #[test]
     fn sql_run_matches_memory_on_worked_example() {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
-        let mem = memory::mine(&d, &params);
-        let sql = mine_with(&d, &params, 1).unwrap();
+        let mem = memory::run(&d, &ExecCtx::new(params));
+        let sql = mine_on(&d, &params, 1).unwrap();
         assert_eq!(sql.result.frequent_itemsets(), mem.frequent_itemsets());
         // Tuple counts per iteration agree (|R'_k|, |R_k|, |C_k|).
         for (a, b) in mem.trace.iter().zip(sql.result.trace.iter()) {
@@ -918,7 +640,7 @@ mod tests {
     #[test]
     fn emitted_sql_is_the_papers_text() {
         let d = example::paper_example_dataset();
-        let sql = mine_with(&d, &example::paper_example_params(), 1).unwrap();
+        let sql = mine_on(&d, &example::paper_example_params(), 1).unwrap();
         let all = sql.statements.join("\n---\n");
         // The Section 3.1 C1 query.
         assert!(all.contains("HAVING COUNT(*) >= :minsupport"));
@@ -932,13 +654,42 @@ mod tests {
         assert!(!all.contains("SHARD"));
     }
 
+    /// The single-session script is the reference text: the paper's
+    /// Section 3.1 / 4.1 statements, byte for byte. The partitioned
+    /// script is built from the same statement builders.
+    #[test]
+    fn single_session_script_is_the_papers_text_verbatim() {
+        let d = example::paper_example_dataset();
+        let sql = mine_on(&d, &example::paper_example_params(), 1).unwrap();
+        let expected = [
+            "CREATE TABLE C1 (item_1 INT, cnt INT)",
+            "INSERT INTO C1\nSELECT r1.item, COUNT(*)\nFROM SALES r1\nGROUP BY r1.item\n\
+             HAVING COUNT(*) >= :minsupport",
+            "CREATE TABLE R2_PRIME (trans_id INT, item_1 INT, item_2 INT)",
+            "INSERT INTO R2_PRIME\nSELECT p.trans_id, p.item, q.item\nFROM SALES p, SALES q\n\
+             WHERE q.trans_id = p.trans_id AND q.item > p.item",
+            "CREATE TABLE C2 (item_1 INT, item_2 INT, cnt INT)",
+            "INSERT INTO C2\nSELECT p.item_1, p.item_2, COUNT(*)\nFROM R2_PRIME p\n\
+             GROUP BY p.item_1, p.item_2\nHAVING COUNT(*) >= :minsupport",
+            "CREATE TABLE R2 (trans_id INT, item_1 INT, item_2 INT)",
+            "INSERT INTO R2\nSELECT p.trans_id, p.item_1, p.item_2\nFROM R2_PRIME p, C2 q\n\
+             WHERE p.item_1 = q.item_1 AND p.item_2 = q.item_2\n\
+             ORDER BY p.trans_id, p.item_1, p.item_2",
+            "DROP TABLE R2_PRIME",
+            "CREATE TABLE R3_PRIME (trans_id INT, item_1 INT, item_2 INT, item_3 INT)",
+            "INSERT INTO R3_PRIME\nSELECT p.trans_id, p.item_1, p.item_2, q.item\n\
+             FROM R2 p, SALES q\nWHERE q.trans_id = p.trans_id AND q.item > p.item_2",
+        ];
+        assert_eq!(&sql.statements[..expected.len()], expected);
+    }
+
     #[test]
     fn partitioned_run_matches_sequential_on_worked_example() {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
-        let seq = mine_with(&d, &params, 1).unwrap();
+        let seq = mine_on(&d, &params, 1).unwrap();
         for threads in [2usize, 3, 4, 8] {
-            let par = mine_with(&d, &params, threads).unwrap();
+            let par = mine_on(&d, &params, threads).unwrap();
             assert_eq!(
                 par.result.frequent_itemsets(),
                 seq.result.frequent_itemsets(),
@@ -958,7 +709,7 @@ mod tests {
     #[test]
     fn partitioned_statements_name_shards_and_merge_with_sum() {
         let d = example::paper_example_dataset();
-        let sql = mine_with(&d, &example::paper_example_params(), 2).unwrap();
+        let sql = mine_on(&d, &example::paper_example_params(), 2).unwrap();
         let all = sql.statements.join("\n---\n");
         assert!(all.contains("R2_PRIME_SHARD_0"), "{all}");
         assert!(all.contains("R2_PRIME_SHARD_1"), "{all}");
@@ -984,9 +735,9 @@ mod tests {
         }
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Fraction(0.15), 0.5);
-        let mem = memory::mine(&d, &params);
+        let mem = memory::run(&d, &ExecCtx::new(params));
         for threads in [1usize, 4] {
-            let sql = mine_with(&d, &params, threads).unwrap();
+            let sql = mine_on(&d, &params, threads).unwrap();
             assert_eq!(
                 sql.result.frequent_itemsets(),
                 mem.frequent_itemsets(),
@@ -999,7 +750,7 @@ mod tests {
     fn empty_dataset_is_handled() {
         let d = Dataset::from_pairs(std::iter::empty());
         for threads in [1usize, 4] {
-            let run = mine_with(&d, &MiningParams::new(MinSupport::Count(1), 0.5), threads)
+            let run = mine_on(&d, &MiningParams::new(MinSupport::Count(1), 0.5), threads)
                 .unwrap();
             assert_eq!(run.result.max_pattern_len(), 0);
         }

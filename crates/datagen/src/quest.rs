@@ -159,7 +159,7 @@ impl QuestConfig {
 mod tests {
     use super::*;
     use crate::stats::DatasetStats;
-    use setm_core::{setm::memory, MinSupport, MiningParams};
+    use setm_core::{setm::{memory, ExecCtx}, MinSupport, MiningParams};
 
     #[test]
     fn shape_is_roughly_as_configured() {
@@ -180,7 +180,7 @@ mod tests {
         // The whole point of Quest data: correlations exist, so frequent
         // pairs appear well above the independence baseline.
         let d = QuestConfig::t5_i2_d100k(50).generate();
-        let r = memory::mine(&d, &MiningParams::new(MinSupport::Fraction(0.01), 0.5));
+        let r = memory::run(&d, &ExecCtx::new(MiningParams::new(MinSupport::Fraction(0.01), 0.5)));
         assert!(r.c(2).is_some(), "frequent pairs must exist at 1% support");
     }
 

@@ -14,8 +14,11 @@ fn main() {
     let dataset = example::paper_example_dataset();
     let params = example::paper_example_params();
 
+    // One thread: the paper's single-session script (the default thread
+    // count would shard it on a multi-core host; see the end of main).
     let miner = Miner::new(params);
-    let run = miner.clone().backend(Backend::Sql).run(&dataset).expect("SQL run succeeds");
+    let run =
+        miner.clone().backend(Backend::Sql).threads(1).run(&dataset).expect("SQL run succeeds");
     let statements = run.report.statements().expect("the SQL backend records its statements");
 
     println!("Executed {} SQL statements:\n", statements.len());

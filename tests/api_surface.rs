@@ -4,14 +4,19 @@
 //! shapes of the facade hold: the builder chain reads exactly as the
 //! README writes it, the outcome types cross thread boundaries, the
 //! error type is a real `std::error::Error` with the documented
-//! conversions, and the low-level per-execution `mine_with` functions
-//! agree with the facade. If a refactor breaks any of these, this file
+//! conversions, and the one low-level `run` per execution agrees with
+//! the facade. If a refactor breaks any of these, this file
 //! stops compiling — that is the point.
 //!
 //! (The 0.1 entry-point shims — `setm::setm::mine`,
 //! `engine::mine_on_engine` + `EngineOptions`, `sql::mine_via_sql` —
 //! were `#[deprecated]` for the one-release window promised in 0.2 and
 //! are removed in 0.3.0.)
+//!
+//! Thread count: a run that asserts anything thread-dependent (SQL text,
+//! page accesses) pins `threads`; the rest use the default — the
+//! machine's available parallelism — and assert only mined results,
+//! which are identical at every thread count.
 
 use setm::{
     Backend, Dataset, EngineConfig, ExecutionReport, MinSupport, Miner, MiningOutcome,
@@ -120,27 +125,45 @@ fn serve_layer_is_reachable_through_the_umbrella() {
     handle.join().unwrap();
 }
 
-/// The low-level per-execution entry points (what the 0.1 shims
-/// forwarded to, before their removal in 0.3.0): still public, still in
-/// agreement with the facade, and uniformly parameterized on `threads`
-/// — including the SQL execution, whose `mine_with` now takes the same
-/// thread knob as the other two.
+/// The low-level surface is one `run` per backend, each taking the
+/// dataset and the `ExecCtx` that `Miner::run` builds (the engine also
+/// its `EngineConfig`). Handed the knobs a `Miner` chain sets, each
+/// reproduces the facade's trace — plans and pruning included — and its
+/// execution report.
 #[test]
-fn low_level_entry_points_agree_with_the_facade() {
-    use setm::core::setm::{engine, memory, sql, SetmOptions};
+fn one_run_per_backend_agrees_with_the_facade() {
+    use setm::core::setm::{engine, memory, sql, ExecCtx};
+    use setm::MiningConstraints;
 
     let d = setm::example::paper_example_dataset();
     let params = setm::example::paper_example_params();
-    let reference = Miner::new(params).run(&d).unwrap();
+    let exclude = MiningConstraints::new().exclude([3]);
+    let compiled = exclude.compile(&d);
+    for constrained in [false, true] {
+        let mut ctx = ExecCtx { threads: 2, ..ExecCtx::new(params) };
+        let mut miner = Miner::new(params).threads(2);
+        if constrained {
+            ctx.constraints = compiled.compiled();
+            miner = miner.constraints(exclude.clone());
+        }
+        let facade = |backend| miner.clone().backend(backend).run(&d).unwrap();
 
-    let mem = memory::mine_with(&d, &params, SetmOptions { threads: 2, ..Default::default() });
-    assert_eq!(mem.frequent_itemsets(), reference.result.frequent_itemsets());
+        let mem = memory::run(&d, &ctx);
+        let via = facade(Backend::Memory);
+        assert_eq!(mem.frequent_itemsets(), via.frequent_itemsets());
+        assert_eq!(mem.trace, via.result.trace, "memory, constrained={constrained}");
 
-    let eng = engine::mine_with(&d, &params, EngineConfig::default(), 2).unwrap();
-    assert_eq!(eng.result.frequent_itemsets(), reference.result.frequent_itemsets());
+        let config = EngineConfig::default();
+        let eng = engine::run(&d, &ctx, config).unwrap();
+        let via = facade(Backend::Engine(config));
+        assert_eq!(eng.result.trace, via.result.trace, "engine, constrained={constrained}");
+        assert_eq!(Some(eng.total_page_accesses), via.report.page_accesses());
 
-    let via_sql = sql::mine_with(&d, &params, 2).unwrap();
-    assert_eq!(via_sql.result.frequent_itemsets(), reference.result.frequent_itemsets());
+        let sq = sql::run(&d, &ctx).unwrap();
+        let via = facade(Backend::Sql);
+        assert_eq!(sq.result.trace, via.result.trace, "sql, constrained={constrained}");
+        assert_eq!(Some(sq.statements.as_slice()), via.report.statements());
+    }
 }
 
 /// PR 10's API redesign: mining constraints are first-class builder

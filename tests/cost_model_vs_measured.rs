@@ -11,6 +11,7 @@
 
 use setm::core::nested_loop::{mine_nested_loop, NestedLoopOptions};
 use setm::core::setm::engine::{self, EngineConfig};
+use setm::core::setm::ExecCtx;
 use setm::core::setm::plan::{
     JoinStrategy, LiveStats, PhysicalPlan, PlanMode, Planner, PlannerConfig,
 };
@@ -20,6 +21,11 @@ use setm::costmodel::{
 };
 use setm::datagen::{DatasetStats, NeedleConfig, UniformConfig};
 use setm::{MinSupport, MiningParams};
+
+/// The low-level run context at `threads` worker threads.
+fn at(params: &MiningParams, threads: usize) -> ExecCtx<'static> {
+    ExecCtx { threads, ..ExecCtx::new(*params) }
+}
 
 #[test]
 fn paper_arithmetic_is_exact() {
@@ -50,7 +56,7 @@ fn measured_strategies_order_like_the_model() {
 
     // threads: 1 — these tests validate the *sequential* Section 4.3
     // accounting (see docs/REPRODUCTION.md, Design notes §5).
-    let sm = engine::mine_with(&dataset, &params, EngineConfig::default(), 1).unwrap();
+    let sm = engine::run(&dataset, &at(&params, 1), EngineConfig::default()).unwrap();
     let nl = mine_nested_loop(&dataset, &params, NestedLoopOptions::default()).unwrap();
     assert_eq!(sm.result.frequent_itemsets(), nl.result.frequent_itemsets());
 
@@ -81,7 +87,7 @@ fn measured_setm_accesses_scale_with_the_model() {
 
     let dataset = UniformConfig::paper_scaled(100).generate();
     let params = MiningParams::new(MinSupport::Fraction(0.005), 0.5).with_max_len(2);
-    let run = engine::mine_with(&dataset, &params, EngineConfig::default(), 1).unwrap();
+    let run = engine::run(&dataset, &at(&params, 1), EngineConfig::default()).unwrap();
 
     // The engine materializes sorts the model pipelines, so it may exceed
     // the bound, but by a bounded constant — not an order of magnitude.
@@ -136,7 +142,7 @@ fn planner_predictions_track_measured_io() {
     ];
     let planner = Planner::new(PlanMode::Auto, PlannerConfig::with_max_shards(1));
     for (name, dataset, params) in workloads {
-        let run = engine::mine_with(&dataset, &params, EngineConfig::default(), 1).unwrap();
+        let run = engine::run(&dataset, &at(&params, 1), EngineConfig::default()).unwrap();
         let replayed = replay_stats(&dataset, &run);
         assert!(!replayed.is_empty(), "{name}: no planned iterations");
         for (k, stats, plan, measured) in replayed {
@@ -160,15 +166,10 @@ fn planner_predictions_track_measured_io() {
 fn auto_planner_switches_joins_and_wins_on_the_needle() {
     let dataset = NeedleConfig::bench().generate();
     let params = MiningParams::new(MinSupport::Count(5), 0.5);
-    let auto = engine::mine_with(&dataset, &params, EngineConfig::default(), 1).unwrap();
-    let fixed = engine::mine_planned(
-        &dataset,
-        &params,
-        EngineConfig::default(),
-        1,
-        PlanMode::Forced(PhysicalPlan::merge_scan()),
-    )
-    .unwrap();
+    let auto = engine::run(&dataset, &at(&params, 1), EngineConfig::default()).unwrap();
+    let forced =
+        ExecCtx { plan_mode: PlanMode::Forced(PhysicalPlan::merge_scan()), ..at(&params, 1) };
+    let fixed = engine::run(&dataset, &forced, EngineConfig::default()).unwrap();
     assert_eq!(auto.result.frequent_itemsets(), fixed.result.frequent_itemsets());
 
     let nl_iterations: Vec<usize> = auto
@@ -221,7 +222,7 @@ fn engine_iteration_io_is_attributed() {
     // are all nonzero until the empty final iteration's residue.
     let dataset = UniformConfig { n_items: 50, n_txns: 500, avg_txn_len: 6.0, seed: 5 }.generate();
     let params = MiningParams::new(MinSupport::Fraction(0.02), 0.5);
-    let run = engine::mine_with(&dataset, &params, EngineConfig::default(), 1).unwrap();
+    let run = engine::run(&dataset, &at(&params, 1), EngineConfig::default()).unwrap();
     assert!(run.result.trace.len() >= 2);
     for t in &run.result.trace {
         assert!(t.page_accesses > 0, "iteration {} did I/O", t.k);

@@ -1,5 +1,11 @@
 //! Differential testing across every miner in the workspace, including
 //! property-based tests against a brute-force support oracle.
+//!
+//! Thread count: runs that do not pin `threads` use the default — the
+//! machine's available parallelism. Every assertion here is on mined
+//! results, which are identical at every thread count
+//! (`tests/parallel_equivalence.rs`), so the suite passes on one core or
+//! many.
 
 use proptest::prelude::*;
 use setm::baselines::{ais, apriori, apriori_tid};

@@ -9,6 +9,10 @@
 //! `SETM_TEST_THREADS=<n>` pins the exercised thread count (the CI
 //! `parallel` job runs this suite across a {1, 2, 4} matrix); unset, the
 //! default spread below runs.
+//!
+//! `support_fractions_are_finite` runs at the default thread count (the
+//! machine's available parallelism); it asserts only mined results,
+//! which the matrix above proves identical at every count.
 
 use proptest::prelude::*;
 use setm::{Backend, Dataset, EngineConfig, MinSupport, Miner, MiningOutcome, MiningParams};

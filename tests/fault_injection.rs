@@ -4,11 +4,28 @@
 //! surfaces as a `SetmError::Sql` naming the shard that failed — with
 //! statement-level atomicity guaranteeing no partially-populated result
 //! table is observable afterwards.
+//!
+//! The SQL fault runs pin two or three threads (the partitioned script
+//! under test); the engine control run uses the default thread count
+//! and asserts only its mined result.
 
-use setm::core::setm::sql::mine_sharded_with_prepare;
+use setm::core::setm::sql::{run_with_prepare, SqlRun};
+use setm::core::setm::ExecCtx;
 use setm::relational::Error;
 use setm::sql::{Params, SqlEngine, SqlError};
 use setm::{example, Dataset, MinSupport, MiningParams, SetmError};
+
+/// The worked example mined by the production SQL execution at
+/// `threads` worker threads (the partitioned script), with `prepare`
+/// applied to each shard session after its `SALES` load.
+fn mine_example(
+    threads: usize,
+    prepare: &(dyn Fn(usize, &mut SqlEngine) + Sync),
+) -> Result<SqlRun, SqlError> {
+    let d = example::paper_example_dataset();
+    let ctx = ExecCtx { threads, ..ExecCtx::new(example::paper_example_params()) };
+    run_with_prepare(&d, &ctx, prepare)
+}
 
 #[test]
 fn fault_reaches_the_sql_layer() {
@@ -41,11 +58,9 @@ fn fault_reaches_the_sql_layer() {
 /// is an engine-level media fault.
 #[test]
 fn partitioned_sql_fault_names_the_failing_shard() {
-    let d = example::paper_example_dataset();
-    let params = example::paper_example_params();
     // Inject a one-shot media fault into shard 1's pager only; shard 0
     // stays healthy.
-    let err = mine_sharded_with_prepare(&d, &params, 2, &|shard, engine| {
+    let err = mine_example(2, &|shard, engine| {
         if shard == 1 {
             engine.database().pager().lock().fail_after(Some(4));
         }
@@ -67,10 +82,8 @@ fn partitioned_sql_fault_names_the_failing_shard() {
 /// same shape still succeeds afterwards — fault hooks do not leak).
 #[test]
 fn every_shard_position_is_attributable() {
-    let d = example::paper_example_dataset();
-    let params = example::paper_example_params();
     for failing in 0..3usize {
-        let err = mine_sharded_with_prepare(&d, &params, 3, &|shard, engine| {
+        let err = mine_example(3, &|shard, engine| {
             if shard == failing {
                 engine.database().pager().lock().fail_after(Some(2));
             }
@@ -80,7 +93,7 @@ fn every_shard_position_is_attributable() {
         assert_eq!(shard, failing);
     }
     // Control: no hook, the partitioned run succeeds.
-    let ok = mine_sharded_with_prepare(&d, &params, 3, &|_, _| {}).unwrap();
+    let ok = mine_example(3, &|_, _| {}).unwrap();
     assert_eq!(ok.result.max_pattern_len(), 3);
 }
 
@@ -92,11 +105,9 @@ fn every_shard_position_is_attributable() {
 /// bare engine error that anonymizes the shard.
 #[test]
 fn shard_attribution_survives_every_fault_point() {
-    let d = example::paper_example_dataset();
-    let params = example::paper_example_params();
     let mut failures = 0usize;
     for fail_at in 1..60u64 {
-        let result = mine_sharded_with_prepare(&d, &params, 2, &|shard, engine| {
+        let result = mine_example(2, &|shard, engine| {
             if shard == 1 {
                 engine.database().pager().lock().fail_after(Some(fail_at));
             }

@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use setm::core::setm::engine::{self, EngineConfig};
-use setm::core::setm::{memory, sql, SetmOptions};
+use setm::core::setm::{memory, sql, ExecCtx};
 use setm::{generate_rules, Dataset, MinSupport, MiningParams, SetmResult};
 
 const DEFAULT_THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
@@ -25,6 +25,11 @@ fn thread_counts() -> Vec<usize> {
         Ok(v) => vec![v.parse().expect("SETM_TEST_THREADS must be an unsigned integer")],
         Err(_) => DEFAULT_THREAD_COUNTS.to_vec(),
     }
+}
+
+/// The low-level run context at `threads` worker threads.
+fn at(params: &MiningParams, threads: usize) -> ExecCtx<'static> {
+    ExecCtx { threads, ..ExecCtx::new(*params) }
 }
 
 /// Strategy: a small random basket database.
@@ -64,17 +69,9 @@ proptest! {
     #[test]
     fn memory_parallel_equals_sequential(d in dataset_strategy(), min_count in 1u64..=5) {
         let params = MiningParams::new(MinSupport::Count(min_count), 0.5);
-        let seq = memory::mine_with(
-            &d,
-            &params,
-            SetmOptions { threads: 1, ..Default::default() },
-        );
+        let seq = memory::run(&d, &at(&params, 1));
         for threads in thread_counts() {
-            let par = memory::mine_with(
-                &d,
-                &params,
-                SetmOptions { threads, ..Default::default() },
-            );
+            let par = memory::run(&d, &at(&params, threads));
             assert_equivalent(&seq, &par, &format!("memory threads={threads}"));
         }
     }
@@ -83,9 +80,9 @@ proptest! {
     #[test]
     fn engine_parallel_equals_sequential(d in dataset_strategy(), min_count in 1u64..=5) {
         let params = MiningParams::new(MinSupport::Count(min_count), 0.5);
-        let seq = engine::mine_with(&d, &params, EngineConfig::default(), 1).unwrap();
+        let seq = engine::run(&d, &at(&params, 1), EngineConfig::default()).unwrap();
         for threads in thread_counts() {
-            let par = engine::mine_with(&d, &params, EngineConfig::default(), threads).unwrap();
+            let par = engine::run(&d, &at(&params, threads), EngineConfig::default()).unwrap();
             assert_equivalent(&seq.result, &par.result, &format!("engine threads={threads}"));
         }
     }
@@ -95,9 +92,9 @@ proptest! {
     #[test]
     fn sql_parallel_equals_sequential(d in dataset_strategy(), min_count in 1u64..=5) {
         let params = MiningParams::new(MinSupport::Count(min_count), 0.5);
-        let seq = sql::mine_with(&d, &params, 1).unwrap();
+        let seq = sql::run(&d, &at(&params, 1)).unwrap();
         for threads in thread_counts() {
-            let par = sql::mine_with(&d, &params, threads).unwrap();
+            let par = sql::run(&d, &at(&params, threads)).unwrap();
             assert_equivalent(&seq.result, &par.result, &format!("sql threads={threads}"));
         }
     }
@@ -106,9 +103,9 @@ proptest! {
     #[test]
     fn filter_r1_composes_with_sharding(d in dataset_strategy(), min_count in 1u64..=4) {
         let params = MiningParams::new(MinSupport::Count(min_count), 0.5);
-        let seq = memory::mine_with(&d, &params, SetmOptions { filter_r1: true, threads: 1 });
+        let seq = memory::run(&d, &ExecCtx { filter_r1: true, ..at(&params, 1) });
         for threads in [2usize, 8] {
-            let par = memory::mine_with(&d, &params, SetmOptions { filter_r1: true, threads });
+            let par = memory::run(&d, &ExecCtx { filter_r1: true, ..at(&params, threads) });
             assert_equivalent(&seq, &par, &format!("filter_r1 threads={threads}"));
         }
     }
@@ -117,12 +114,12 @@ proptest! {
     #[test]
     fn max_len_composes_with_sharding(d in dataset_strategy(), cap in 1usize..=3) {
         let params = MiningParams::new(MinSupport::Count(2), 0.5).with_max_len(cap);
-        let seq = memory::mine_with(&d, &params, SetmOptions { threads: 1, ..Default::default() });
-        let par = memory::mine_with(&d, &params, SetmOptions { threads: 4, ..Default::default() });
+        let seq = memory::run(&d, &at(&params, 1));
+        let par = memory::run(&d, &at(&params, 4));
         assert_equivalent(&seq, &par, &format!("max_len={cap}"));
-        let eng = engine::mine_with(&d, &params, EngineConfig::default(), 4).unwrap();
+        let eng = engine::run(&d, &at(&params, 4), EngineConfig::default()).unwrap();
         assert_equivalent(&seq, &eng.result, &format!("engine max_len={cap}"));
-        let sq = sql::mine_with(&d, &params, 4).unwrap();
+        let sq = sql::run(&d, &at(&params, 4)).unwrap();
         assert_equivalent(&seq, &sq.result, &format!("sql max_len={cap}"));
     }
 }
@@ -133,13 +130,13 @@ proptest! {
 fn worked_example_invariant_across_all_paths_and_threads() {
     let d = setm::example::paper_example_dataset();
     let params = setm::example::paper_example_params();
-    let reference = memory::mine(&d, &params);
+    let reference = memory::run(&d, &ExecCtx::new(params));
     for threads in DEFAULT_THREAD_COUNTS {
-        let mem = memory::mine_with(&d, &params, SetmOptions { threads, ..Default::default() });
+        let mem = memory::run(&d, &at(&params, threads));
         assert_equivalent(&reference, &mem, &format!("memory threads={threads}"));
-        let eng = engine::mine_with(&d, &params, EngineConfig::default(), threads).unwrap();
+        let eng = engine::run(&d, &at(&params, threads), EngineConfig::default()).unwrap();
         assert_equivalent(&reference, &eng.result, &format!("engine threads={threads}"));
-        let sq = sql::mine_with(&d, &params, threads).unwrap();
+        let sq = sql::run(&d, &at(&params, threads)).unwrap();
         assert_equivalent(&reference, &sq.result, &format!("sql threads={threads}"));
     }
 }

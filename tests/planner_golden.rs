@@ -15,7 +15,7 @@
 //! in the message.
 
 use setm::core::setm::engine::{self, EngineConfig};
-use setm::core::setm::plan::PlanMode;
+use setm::core::setm::ExecCtx;
 use setm::core::Dataset;
 use setm::datagen::{NeedleConfig, QuestConfig, RetailConfig};
 use setm::{example, Backend, MinSupport, Miner, MiningParams};
@@ -26,9 +26,8 @@ fn planned(dataset: &Dataset, params: MiningParams, threads: usize) -> Vec<Strin
     let mem = Miner::new(params).backend(Backend::Memory).threads(threads).run(dataset).unwrap();
     let lines: Vec<String> =
         mem.result.trace.iter().map(|t| format!("k={}: {}", t.k, t.plan_string())).collect();
-    let eng =
-        engine::mine_planned(dataset, &params, EngineConfig::default(), threads, PlanMode::Auto)
-            .unwrap();
+    let ctx = ExecCtx { threads, ..ExecCtx::new(params) };
+    let eng = engine::run(dataset, &ctx, EngineConfig::default()).unwrap();
     let eng_lines: Vec<String> =
         eng.result.trace.iter().map(|t| format!("k={}: {}", t.k, t.plan_string())).collect();
     assert_eq!(lines, eng_lines, "memory and engine planners must agree");

@@ -11,6 +11,7 @@
 use setm::core::rules::generate_rules;
 use setm::core::setm::engine::{self, EngineConfig, EngineRun};
 use setm::core::setm::plan::{JoinStrategy, PhysicalPlan, PlanMode};
+use setm::core::setm::ExecCtx;
 use setm::core::Dataset;
 use setm::datagen::{NeedleConfig, RetailConfig};
 use setm::{MinSupport, MiningParams};
@@ -50,6 +51,11 @@ fn fingerprint(run: &EngineRun, params: &MiningParams) -> String {
     out
 }
 
+/// The low-level run context at `threads` worker threads.
+fn at(params: &MiningParams, threads: usize) -> ExecCtx<'static> {
+    ExecCtx { threads, ..ExecCtx::new(*params) }
+}
+
 fn run(
     dataset: &Dataset,
     params: &MiningParams,
@@ -58,7 +64,7 @@ fn run(
     mode: PlanMode,
 ) -> EngineRun {
     let config = EngineConfig { shared_pool, ..EngineConfig::default() };
-    engine::mine_planned(dataset, params, config, threads, mode).unwrap()
+    engine::run(dataset, &ExecCtx { plan_mode: mode, ..at(params, threads) }, config).unwrap()
 }
 
 fn forced_nl() -> PlanMode {
@@ -145,7 +151,7 @@ fn every_configured_frame_is_granted() {
         for shared_pool in [true, false] {
             for threads in [1, 3, 4] {
                 let config = EngineConfig { cache_frames, shared_pool, ..EngineConfig::default() };
-                let run = engine::mine_with(&dataset, &params, config, threads).unwrap();
+                let run = engine::run(&dataset, &at(&params, threads), config).unwrap();
                 assert_eq!(
                     run.cache_frames, cache_frames,
                     "pool={shared_pool} threads={threads}: frames granted != configured"
@@ -162,7 +168,7 @@ fn zero_frames_disables_caching_for_both_backends() {
     let (dataset, params) = retail();
     for shared_pool in [true, false] {
         let config = EngineConfig { cache_frames: 0, shared_pool, ..EngineConfig::default() };
-        let run = engine::mine_with(&dataset, &params, config, 2).unwrap();
+        let run = engine::run(&dataset, &at(&params, 2), config).unwrap();
         assert_eq!(run.cache_frames, 0);
         assert_eq!(run.io.cache_hits, 0, "pool={shared_pool}");
         assert_eq!(run.io.pool_steals, 0, "pool={shared_pool}");

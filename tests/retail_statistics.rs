@@ -1,6 +1,12 @@
 //! E1/E2/E3 integration — the retail-like dataset reproduces every
 //! statistic Section 6 reports, and the mining sweep reproduces the
 //! shapes of Figures 5 and 6 and the Section 6.2 stability claim.
+//!
+//! Thread count: runs that do not pin `threads` use the default — the
+//! machine's available parallelism. Every assertion here is on mined
+//! results, which are identical at every thread count
+//! (`tests/parallel_equivalence.rs`), so the suite passes on one core or
+//! many.
 
 use setm::datagen::{DatasetStats, RetailConfig};
 use setm::{MinSupport, Miner, MiningParams, SetmResult};

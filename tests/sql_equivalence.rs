@@ -9,9 +9,12 @@
 //!
 //! `SETM_TEST_THREADS=<n>` pins the exercised thread count (the CI
 //! `parallel` job's matrix); unset, the default spread below runs.
+//! Runs that leave `threads` unset use the machine's available
+//! parallelism and assert only mined results; the statement-text claims
+//! pin their thread count.
 
 use proptest::prelude::*;
-use setm::core::setm::{memory, sql};
+use setm::core::setm::{memory, sql, ExecCtx};
 use setm::datagen::{QuestConfig, RetailConfig};
 use setm::sql::{ExecOptions, JoinPreference, Params, SqlEngine};
 use setm::{Backend, Dataset, MinSupport, Miner, MiningParams, SetmResult};
@@ -25,6 +28,11 @@ fn thread_counts() -> Vec<usize> {
         Ok(v) => vec![v.parse().expect("SETM_TEST_THREADS must be an unsigned integer")],
         Err(_) => DEFAULT_THREAD_COUNTS.to_vec(),
     }
+}
+
+/// The low-level run context at `threads` worker threads.
+fn at(params: &MiningParams, threads: usize) -> ExecCtx<'static> {
+    ExecCtx { threads, ..ExecCtx::new(*params) }
 }
 
 /// Strategy: a small random basket database.
@@ -61,11 +69,11 @@ proptest! {
         min_count in 1u64..=5,
     ) {
         let params = MiningParams::new(MinSupport::Count(min_count), 0.5);
-        let oracle = memory::mine(&d, &params);
-        let seq = sql::mine_with(&d, &params, 1).unwrap();
+        let oracle = memory::run(&d, &ExecCtx::new(params));
+        let seq = sql::run(&d, &at(&params, 1)).unwrap();
         assert_equivalent(&oracle, &seq.result, "sequential sql vs memory");
         for threads in thread_counts() {
-            let par = sql::mine_with(&d, &params, threads).unwrap();
+            let par = sql::run(&d, &at(&params, threads)).unwrap();
             assert_equivalent(&seq.result, &par.result, &format!("sql threads={threads}"));
         }
     }
@@ -76,7 +84,7 @@ proptest! {
     #[test]
     fn partitioned_trace_records_shards_and_merge(d in dataset_strategy()) {
         let params = MiningParams::new(MinSupport::Count(2), 0.5);
-        let run = sql::mine_with(&d, &params, 3).unwrap();
+        let run = sql::run(&d, &at(&params, 3)).unwrap();
         let all = run.statements.join("\n");
         // A single-transaction dataset clamps to one shard and runs the
         // sequential plan — the shard shapes only appear past that.
@@ -101,7 +109,7 @@ proptest! {
     #[test]
     fn sequential_plan_is_untouched_by_the_parallel_feature(d in dataset_strategy()) {
         let params = MiningParams::new(MinSupport::Count(2), 0.5);
-        let run = sql::mine_with(&d, &params, 1).unwrap();
+        let run = sql::run(&d, &at(&params, 1)).unwrap();
         let all = run.statements.join("\n");
         prop_assert!(!all.contains("SHARD"));
         prop_assert!(!all.contains("SUM("));
@@ -139,8 +147,8 @@ fn more_threads_than_transactions_is_fine() {
         (3, [1, 2].as_slice()),
     ]);
     let params = MiningParams::new(MinSupport::Count(2), 0.5);
-    let seq = sql::mine_with(&d, &params, 1).unwrap();
-    let par = sql::mine_with(&d, &params, 64).unwrap();
+    let seq = sql::run(&d, &at(&params, 1)).unwrap();
+    let par = sql::run(&d, &at(&params, 64)).unwrap();
     assert_equivalent(&seq.result, &par.result, "threads=64 on 3 transactions");
 }
 
@@ -194,7 +202,12 @@ fn sql_driven_setm_matches_memory_on_quest_sample() {
 fn emitted_statements_are_the_papers_queries() {
     let d = RetailConfig::small(300, 3).generate();
     let params = MiningParams::new(MinSupport::Fraction(0.02), 0.5);
-    let run = Miner::new(params).backend(Backend::Sql).run(&d).unwrap();
+    let miner = Miner::new(params).backend(Backend::Sql);
+    // The paper's text is the single-session script, so the claim is
+    // pinned to one thread: the default resolves to the available
+    // parallelism, which runs the partitioned script on a multi-core
+    // host.
+    let run = miner.clone().threads(1).run(&d).unwrap();
     let all = run.report.statements().unwrap().join("\n");
     // Section 3.1's C1 query.
     assert!(all.contains("GROUP BY r1.item"));
@@ -204,6 +217,22 @@ fn emitted_statements_are_the_papers_queries() {
     assert!(all.contains("ORDER BY p.trans_id, p.item_1"));
     // R'_k is dropped after use, as the paper's loop discards it.
     assert!(all.contains("DROP TABLE R2_PRIME"));
+
+    // Two threads run the partitioned script: the same statements per
+    // shard, but the threshold moves to one global SUM merge — the
+    // shard-local C1 partials carry no HAVING.
+    let run = miner.threads(2).run(&d).unwrap();
+    let statements = run.report.statements().unwrap();
+    let shard_c1: Vec<&String> =
+        statements.iter().filter(|s| s.starts_with("INSERT INTO C1_PART_")).collect();
+    assert_eq!(shard_c1.len(), 2, "one C1 partial per shard");
+    for stmt in shard_c1 {
+        assert!(stmt.contains("GROUP BY r1.item") && !stmt.contains("HAVING"), "{stmt}");
+    }
+    let all = statements.join("\n");
+    assert!(all.contains("HAVING SUM(p.cnt) >= :minsupport"));
+    assert!(!all.contains("HAVING COUNT(*)"), "no shard applies the threshold");
+    assert!(all.contains("DROP TABLE R2_PRIME_SHARD_0"));
 }
 
 #[test]

@@ -1,6 +1,12 @@
 //! E4 — the paper's worked example (Section 4.2, Figures 1-3, Section 5),
 //! reproduced exactly by every execution strategy in the workspace —
 //! all of them driven through the one `Miner` facade.
+//!
+//! Thread count: runs that do not pin `threads` use the default — the
+//! machine's available parallelism. Every assertion here is on mined
+//! results, which are identical at every thread count
+//! (`tests/parallel_equivalence.rs`), so the suite passes on one core or
+//! many.
 
 use setm::core::nested_loop::{mine_nested_loop, NestedLoopOptions};
 use setm::{example, generate_rules, Backend, EngineConfig, Miner};
